@@ -13,11 +13,11 @@ from .exactgeom import (
     DimensionMismatch,
     EmptyPolyhedronError,
     HPolyhedron,
+    InvariantError,
     RadVal,
     UnboundedPolytopeError,
     VPolytope,
     minkowski_sum,
-    volume_r,
 )
 from .prevariety import (
     DualFace,

@@ -1,18 +1,22 @@
 """Exact rational convex geometry: H-polyhedra, V-polytopes, volumes.
 
-All predicates are decided by exact rational LP (see linprog); volumes are
-represented as q*sqrt(s) with q rational and s a squarefree integer, so
-that every comparison in the bound checks stays exact.
+H-polyhedron predicates are decided by exact rational LP (see linprog);
+V-polytope hulls and volumes use no LP but one integer placing
+triangulation.  Volumes are represented as q*sqrt(s) with q rational and s
+a squarefree integer, so that every comparison in the bound checks stays exact.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .linprog import LPStatus, relint_witness, solve_lp
+from .linprog import LPStatus, solve_lp
 
 
 class DimensionMismatch(ValueError):
@@ -25,6 +29,13 @@ class UnboundedPolytopeError(ValueError):
 
 class EmptyPolyhedronError(ValueError):
     pass
+
+
+class InvariantError(RuntimeError):
+    """An internal invariant broke: a defect in the program, not bad input."""
+
+    def __init__(self, stage: str, invariant: str):
+        super().__init__(f"{stage}: {invariant}")
 
 
 def sqfree_decompose(g: int) -> tuple[int, int]:
@@ -212,7 +223,8 @@ class HPolyhedron:
                 continue
             cap = [(list(map(lambda v: -v, a)), -(b + 1))]
             res = solve_lp(self.n, eqs, ineqs + cap, list(a), maximize=True)
-            assert res.status is LPStatus.OPTIMAL
+            if res.status is not LPStatus.OPTIMAL:
+                raise InvariantError("HPolyhedron.relative_interior_point", f"capped LP {res.status.value}")
             if res.value == b:
                 implicit.add(i)
             else:
@@ -263,7 +275,8 @@ class HPolyhedron:
         total = [sum(col) for col in zip(*(a for a, _ in self.ineq))]
         ineqs.append(([-v for v in total], -1))
         res = solve_lp(self.n, eqs, ineqs, total, maximize=True)
-        assert res.status is LPStatus.OPTIMAL
+        if res.status is not LPStatus.OPTIMAL:
+            raise InvariantError("HPolyhedron.is_bounded", f"recession-cone LP {res.status.value}")
         self._cache["bounded"] = res.value == 0
         return self._cache["bounded"]
 
@@ -378,16 +391,12 @@ def lp_feasible(p: HPolyhedron) -> FeasibilityResult:
     return FeasibilityResult(False, certificate=res.x)
 
 
-def affine_dim(p: HPolyhedron) -> int:
-    return p.affine_dim()
-
-
-def lineality_space(p: HPolyhedron):
-    return p.lineality_basis()
-
-
 class VPolytope:
-    """Convex hull of rational points plus generator rays (all exact)."""
+    """Convex hull of rational points plus generator rays (all exact).
+
+    Rays are kept primitive and deduplicated; ``hull`` keeps only the
+    vertices among the points.
+    """
 
     def __init__(self, n: int, vertices, rays=()):
         self.n = n
@@ -409,13 +418,19 @@ class VPolytope:
 
     @classmethod
     def hull(cls, points, rays=()) -> "VPolytope":
+        """conv(points) + cone(rays); the recession cone must be pointed."""
         pts = sorted(set(tuple(Fraction(x) for x in p) for p in points))
         if not pts:
             raise ValueError("at least one point required")
         n = len(pts[0])
         rays = sorted(set(linalg.primitive(r)[0] for r in rays if not linalg.is_zero_vec(r)))
-        rays = [r for i, r in enumerate(rays) if not _in_cone(r, rays[:i] + rays[i + 1 :])]
-        verts = [p for p in pts if not _in_hull(p, [q for q in pts if q != p], rays)]
+        # The vertices of conv(P) + cone(R) are the points of P that are vertices
+        # of conv(P u (P + R)): a functional with a unique minimum there at p is
+        # positive on every ray, so p is its unique minimum on the polyhedron.
+        cloud = set(pts).union(linalg.vadd(p, r) for p in pts for r in rays)
+        verts = set(pts).intersection(_hull_vertices(sorted(cloud)))
+        if not verts:
+            raise ValueError("the recession cone contains a line")
         return cls(n, verts, rays)
 
     def minkowski(self, other: "VPolytope") -> "VPolytope":
@@ -430,165 +445,148 @@ class VPolytope:
         rows += [list(r) for r in self.rays]
         return linalg.rank(rows)
 
-    def facet_data(self):
-        """(affine hull equality rows, facet list) for a bounded polytope.
-
-        Each facet is (integer normal, offset, frozenset of vertex indices)
-        with <normal, x> >= offset valid on the polytope and tight exactly
-        on the listed vertices.
-        """
-        if self.rays:
-            raise UnboundedPolytopeError("facet enumeration needs a bounded polytope")
-        if "facets" in self._cache:
-            return self._cache["facets"]
-        verts = self.vertices
-        v0 = verts[0]
-        diffs = [list(linalg.vsub(v, v0)) for v in verts[1:]]
-        r = linalg.rank(diffs) if diffs else 0
-        hull_normals = linalg.nullspace(diffs, self.n) if diffs else linalg.nullspace([], self.n)
-        aff_eqs = []
-        for nv in hull_normals:
-            w, _ = linalg.primitive(nv, allow_flip=True)
-            aff_eqs.append((w, linalg.dot(w, v0)))
-        facets = {}
-        if r >= 1:
-            dir_basis, _ = linalg.rref(diffs)
-            for sub in itertools.combinations(range(len(verts)), r):
-                pts = [verts[i] for i in sub]
-                sub_diffs = [linalg.vsub(p, pts[0]) for p in pts[1:]]
-                # normal = sum c_j dir_basis[j], orthogonal to candidate diffs
-                m = [[linalg.dot(d, bvec) for bvec in dir_basis] for d in sub_diffs]
-                ns = linalg.nullspace(m, r)
-                if len(ns) != 1:
-                    continue
-                normal = tuple(
-                    sum(c * Fraction(bv[j]) for c, bv in zip(ns[0], dir_basis))
-                    for j in range(self.n)
-                )
-                normal, _ = linalg.primitive(normal)
-                vals = [linalg.dot(normal, v) for v in verts]
-                lo, hi = min(vals), max(vals)
-                base = linalg.dot(normal, pts[0])
-                if base == lo and base != hi:
-                    pass
-                elif base == hi and base != lo:
-                    normal = tuple(-x for x in normal)
-                    vals = [-v for v in vals]
-                    lo = -hi
-                else:
-                    continue
-                on = frozenset(i for i, v in enumerate(vals) if v == lo)
-                facets[(normal, lo)] = on
-        out = (aff_eqs, [(a, b, on) for (a, b), on in sorted(facets.items())])
-        self._cache["facets"] = out
-        return out
-
-    def to_hpolyhedron(self) -> HPolyhedron:
-        aff_eqs, facets = self.facet_data()
-        return HPolyhedron(self.n, aff_eqs, [(a, b) for a, b, _ in facets])
-
     def volume(self) -> RadVal:
         """Exact r-dimensional Euclidean volume, r = affine dimension."""
         if self.rays:
             raise UnboundedPolytopeError("volume of an unbounded polyhedron")
-        if "volume" in self._cache:
-            return self._cache["volume"]
-        verts = self.vertices
-        v0 = verts[0]
-        diffs = [list(linalg.vsub(v, v0)) for v in verts[1:]]
+        if "volume" not in self._cache:
+            self._cache["volume"] = self._lattice_volume()
+        return self._cache["volume"]
+
+    def _lattice_volume(self) -> RadVal:
+        v0 = self.vertices[0]
+        diffs = [list(linalg.vsub(v, v0)) for v in self.vertices[1:]]
         r = linalg.rank(diffs) if diffs else 0
         if r == 0:
-            vol = RadVal(Fraction(1), 1)
-            self._cache["volume"] = vol
-            return vol
+            return RadVal(Fraction(1), 1)
         eq_normals = [linalg.primitive(e)[0] for e in linalg.nullspace(diffs, self.n)]
         lattice = linalg.integer_kernel([list(e) for e in eq_normals], self.n)
-        assert len(lattice) == r
+        if len(lattice) != r:
+            raise InvariantError("VPolytope.volume", f"hull lattice rank {len(lattice)} != {r}")
         cols = [[Fraction(w[i]) for w in lattice] for i in range(self.n)]
-        ys = []
-        for v in verts:
-            y = linalg.solve(cols, list(linalg.vsub(v, v0)))
-            assert y is not None
-            ys.append(y)
-        total = Fraction(0)
-        for simplex in _triangulate(ys, r):
-            p0 = ys[simplex[0]]
-            mat = [list(linalg.vsub(ys[i], p0)) for i in simplex[1:]]
-            total += abs(linalg.det(mat))
-        fact = 1
-        for i in range(2, r + 1):
-            fact *= i
-        vol_lattice = total / fact
+        ys = [linalg.solve(cols, list(linalg.vsub(v, v0))) for v in self.vertices]
+        if None in ys:
+            raise InvariantError("VPolytope.volume", "a vertex is off the hull lattice")
+        ints, den = _clear_denominators(ys)
         g = linalg.gram_det(lattice)
-        assert g.denominator == 1 and g > 0
-        vol = RadVal.from_sqrt(vol_lattice, int(g))
-        self._cache["volume"] = vol
-        return vol
-
-
-def _in_hull(p, points, rays) -> bool:
-    """p in conv(points) + cone(rays)?"""
-    if not points:
-        return False
-    n = len(p)
-    m = len(points) + len(rays)
-    eqs = []
-    for j in range(n):
-        eqs.append(([Fraction(q[j]) for q in points] + [Fraction(r[j]) for r in rays], p[j]))
-    eqs.append(([1] * len(points) + [0] * len(rays), 1))
-    ineqs = []
-    for i in range(m):
-        e = [0] * m
-        e[i] = 1
-        ineqs.append((e, 0))
-    return solve_lp(m, eqs, ineqs).status is LPStatus.OPTIMAL
-
-
-def _in_cone(r, rays) -> bool:
-    if not rays:
-        return False
-    n = len(r)
-    m = len(rays)
-    eqs = [([Fraction(q[j]) for q in rays], r[j]) for j in range(n)]
-    ineqs = []
-    for i in range(m):
-        e = [0] * m
-        e[i] = 1
-        ineqs.append((e, 0))
-    return solve_lp(m, eqs, ineqs).status is LPStatus.OPTIMAL
-
-
-def _triangulate(ys, r):
-    """Triangulation (as index tuples) of full-dimensional points in R^r."""
-    idx = list(range(len(ys)))
-    if r == 1:
-        lo = min(idx, key=lambda i: ys[i])
-        hi = max(idx, key=lambda i: ys[i])
-        return [(lo, hi)]
-    poly = VPolytope.hull(ys)
-    vert_index = {v: i for i, v in enumerate(ys)}
-    _, facets = poly.facet_data()
-    v0 = poly.vertices[0]
-    v0i = vert_index[v0]
-    simplices = []
-    for normal, offset, on in facets:
-        if linalg.dot(normal, v0) == offset:
-            continue
-        facet_pts = [poly.vertices[i] for i in sorted(on)]
-        c = next(j for j in range(r) if normal[j] != 0)
-        proj = [tuple(p[j] for j in range(r) if j != c) for p in facet_pts]
-        for sub in _triangulate(proj, r - 1):
-            simplices.append(tuple(vert_index[facet_pts[i]] for i in sub) + (v0i,))
-    return simplices
-
-
-def convex_hull(points) -> VPolytope:
-    return VPolytope.hull(points)
+        if g.denominator != 1 or g <= 0:
+            raise InvariantError("VPolytope.volume", f"lattice Gram determinant {g} is not a positive integer")
+        return RadVal.from_sqrt(Fraction(_place(ints)[1], den**r * math.factorial(r)), int(g))
 
 
 def minkowski_sum(a: VPolytope, b: VPolytope) -> VPolytope:
     return a.minkowski(b)
 
 
-def volume_r(p: VPolytope) -> RadVal:
-    return p.volume()
+# ------------------------------------------------ integer placing triangulation
+
+
+def _idot(a, b) -> int:
+    return sum(map(operator.mul, a, b))
+
+
+def _idet(rows) -> int:
+    """Determinant of a square integer matrix (fraction-free Bareiss)."""
+    m = [list(row) for row in rows]
+    sign, prev = 1, 1
+    for k in range(len(m) - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, len(m)) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, len(m)):
+            for j in range(k + 1, len(m)):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if m else 1
+
+
+def _echelon(vectors) -> list:
+    """Integer echelon basis, as (pivot, row) pairs, of the span of integer vectors."""
+    basis = []
+    for v in vectors:
+        for piv, row in basis:
+            if v[piv]:
+                v = tuple(row[piv] * x - v[piv] * y for x, y in zip(v, row))
+        piv = next((i for i, x in enumerate(v) if x), None)
+        if piv is not None:
+            basis.append((piv, v))
+    return basis
+
+
+def _clear_denominators(pts):
+    """(integer points, d): the rational points scaled by a common denominator d."""
+    den = math.lcm(*(x.denominator for p in pts for x in p))
+    return [tuple(x.numerator * (den // x.denominator) for x in p) for p in pts], den
+
+
+def _place(points):
+    """Beneath-beyond placing triangulation of integer points spanning Z^r.
+
+    In lexicographic order, the first affinely independent points seed a
+    simplex; each further point is coned to the boundary simplices it lies
+    strictly beyond.  A boundary simplex keeps its unreduced cofactor normal,
+    so |det| of a cone is the point's distance below the simplex's offset.
+    Returns the hull's facets, as sorted primitive (normal, offset) with
+    <normal, x> >= offset on it, and the sum of |det|, r! times the volume.
+    """
+    pts = sorted(points)
+    r = len(pts[0])
+    o, seed = pts[0], [pts[0]]
+    for p in pts[1:]:
+        if len(seed) <= r and len(_echelon(linalg.vsub(q, o) for q in seed[1:] + [p])) == len(seed):
+            seed.append(p)
+    rest = [p for p in pts if p not in seed]
+    if len(seed) != r + 1:
+        raise InvariantError("placing triangulation", f"points span {len(seed) - 1} of {r} dimensions")
+    centre = [sum(c) for c in zip(*seed)]  # r + 1 times an interior point of every hull below
+
+    def facet(verts):
+        rows = [linalg.vsub(v, verts[0]) for v in verts[1:]]
+        normal = tuple((-1) ** i * _idet([row[:i] + row[i + 1 :] for row in rows]) for i in range(r))
+        offset = _idot(normal, verts[0])
+        side = _idot(normal, centre) - (r + 1) * offset
+        if side == 0:
+            raise InvariantError("placing triangulation", f"boundary simplex {verts} is degenerate")
+        if side < 0:
+            normal, offset = tuple(-x for x in normal), -offset
+        return verts, normal, offset
+
+    boundary = [facet(tuple(seed[:i] + seed[i + 1 :])) for i in range(r + 1)]
+    total = abs(_idet([linalg.vsub(v, seed[0]) for v in seed[1:]]))
+    for p in rest:
+        visible, kept = [], []
+        for f in boundary:
+            (visible if _idot(f[1], p) < f[2] else kept).append(f)
+        if not visible:
+            continue
+        ridges = Counter()
+        for verts, normal, offset in visible:
+            total += offset - _idot(normal, p)
+            ridges.update(verts[:i] + verts[i + 1 :] for i in range(r))
+        kept.extend(facet(tuple(sorted(ridge + (p,)))) for ridge, k in ridges.items() if k == 1)
+        boundary = kept
+    facets = set()
+    for _, normal, offset in boundary:
+        g = math.gcd(*normal)
+        facets.add((tuple(x // g for x in normal), offset // g))
+    return sorted(facets), total
+
+
+def _hull_vertices(pts) -> list:
+    """The vertices of the convex hull of distinct rational points.
+
+    The points are scaled to integers and projected onto the pivot columns of
+    their differences, injective on their affine hull; a point is a vertex
+    when the facets through it have normals of full rank.
+    """
+    if len(pts) == 1:
+        return list(pts)
+    ints, _ = _clear_denominators(pts)
+    cols = sorted(piv for piv, _ in _echelon(linalg.vsub(q, ints[0]) for q in ints[1:]))
+    proj = [tuple(q[c] for c in cols) for q in ints]
+    facets, _ = _place(proj)
+    tight = [[a for a, b in facets if _idot(a, q) == b] for q in proj]
+    return [p for p, t in zip(pts, tight) if len(_echelon(t)) == len(cols)]

@@ -8,7 +8,10 @@ Each oracle deliberately avoids the code path it is used to check:
 - ``rational_rank`` delegates to sympy's rank over QQ, independent of the
   package's elimination code.
 - ``convex_hull_2d`` / ``polygon_area`` are a monotone-chain hull and
-  shoelace area, independent of the incremental hull and Gram volumes.
+  shoelace area, independent of the placing triangulation and Gram volumes.
+- ``hull_vertices_lp`` keeps the points that no exact LP writes as a convex
+  combination of the other points plus a cone combination of the rays; the
+  hull under test uses no LP.
 - ``univariate_zeros`` finds breakpoints of a univariate min-envelope from
   pairwise tie candidates.
 """
@@ -20,7 +23,7 @@ from fractions import Fraction
 
 import sympy
 
-from tropbetti.linprog import relint_witness
+from tropbetti.linprog import LPStatus, relint_witness, solve_lp
 from tropbetti.tropical import TropPoly, is_zero
 
 
@@ -100,6 +103,23 @@ def polygon_area(points) -> Fraction:
         for i in range(len(hull))
     )
     return abs(twice) / 2
+
+
+def hull_vertices_lp(points, rays=()) -> list[tuple[Fraction, ...]]:
+    """Sorted vertices of conv(points) + cone(rays), one LP per point."""
+    pts = sorted({tuple(Fraction(x) for x in p) for p in points})
+    return [p for p in pts if not _in_hull_lp(p, [q for q in pts if q != p], rays)]
+
+
+def _in_hull_lp(p, points, rays) -> bool:
+    """p in conv(points) + cone(rays)?"""
+    if not points:
+        return False
+    m = len(points) + len(rays)
+    eqs = [([q[j] for q in points] + [Fraction(r[j]) for r in rays], p[j]) for j in range(len(p))]
+    eqs.append(([1] * len(points) + [0] * len(rays), 1))
+    ineqs = [([int(i == j) for j in range(m)], 0) for i in range(m)]
+    return solve_lp(m, eqs, ineqs).status is LPStatus.OPTIMAL
 
 
 def univariate_zeros(f: TropPoly) -> list[Fraction]:

@@ -1,13 +1,16 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from tropbetti.bounds import degree_bound, dense_volume_bound, sparse_bound, verify_bounds
-from tropbetti.corpus import random_system
+from tropbetti.corpus import random_system, system_corpus
 from tropbetti.exactgeom import RadVal
 from tropbetti.realize import gen_grid_example
 from tropbetti.tropical import LaurentError, LinForm, TropPoly, TropSystem
+
+from corpus_volumes import CORPUS_SEED, DENSE_VOLUMES
 
 
 def poly(*mons, laurent=False):
@@ -26,6 +29,14 @@ def test_dense_volume_bound_examples():
     uni = TropSystem(1, [poly(((2,), 0), ((1,), 1), ((0,), 3))])
     r, bound = dense_volume_bound(uni)
     assert (r, bound) == (1, RadVal(Fraction(6)))
+
+
+def test_dense_volumes_pinned_on_corpus():
+    systems = system_corpus(CORPUS_SEED, len(DENSE_VOLUMES))
+    for i, (s, (r, q, rad)) in enumerate(zip(systems, DENSE_VOLUMES)):
+        vol = RadVal(Fraction(q), rad)
+        scale = (2 ** (r + 1) - 1) * math.factorial(r)
+        assert dense_volume_bound(s) == (r, vol.scaled(scale)), f"system {i}"
 
 
 def test_dense_volume_bound_degenerate():

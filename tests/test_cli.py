@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +14,9 @@ from tropbetti.cli import (
     parse_system,
     serialize_system,
 )
-from tropbetti.corpus import random_system
+from tropbetti import exactgeom
+from tropbetti.corpus import random_system, system_corpus
+from tropbetti.linprog import LPResult, LPStatus
 from tropbetti.tropical import LinForm, TropPoly, TropSystem
 
 LINE_DOC = '{"n":2,"polys":[[[[1,0],"0"],[[0,1],"0"],[[0,0],"0"]]]}'
@@ -158,6 +164,42 @@ def test_exit_code_on_invalid_input(capsys, monkeypatch):
 def test_missing_file_is_input_error(capsys):
     code, _, err = run(capsys, ["betti", "/nonexistent/file.json"])
     assert code == 1 and "cannot read" in err
+
+
+def test_invariant_error_exits_2(capsys, monkeypatch, tmp_path):
+    real = exactgeom.solve_lp
+
+    def failing_max(*args, maximize=False, **kwargs):
+        if maximize:
+            return LPResult(LPStatus.UNBOUNDED)
+        return real(*args, maximize=maximize, **kwargs)
+
+    monkeypatch.setattr(exactgeom, "solve_lp", failing_max)
+    path = tmp_path / "segment.json"
+    path.write_text('{"n":2,"polyhedra":[{"eq":[[[0,1],"0"]],"ineq":[[[1,0],"0"],[[-1,0],"-1"]]}]}')
+    code, out, err = run(capsys, ["realize", str(path)])
+    assert code == 2 and out == ""
+    assert "InvariantError: HPolyhedron.relative_interior_point" in err
+
+
+def test_check_output_same_under_python_O(tmp_path):
+    system = system_corpus(20260823, 4)[3]
+    assert system.n == 3
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(serialize_system(system)))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    outs = []
+    for flags in (["-O"], []):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "tropbetti.cli", "check", str(path)],
+            capture_output=True,
+            env=env,
+            timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1] and outs[0]
 
 
 def test_output_byte_stability(capsys, monkeypatch):

@@ -1,24 +1,23 @@
+import ast
+import inspect
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tropbetti import exactgeom
 from tropbetti.exactgeom import (
     EmptyPolyhedronError,
     HPolyhedron,
     RadVal,
     VPolytope,
-    affine_dim,
-    convex_hull,
-    lineality_space,
     lp_feasible,
     minkowski_sum,
     sqfree_decompose,
-    volume_r,
 )
 
-from oracles import polygon_area
+from oracles import hull_vertices_lp, polygon_area
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -77,26 +76,26 @@ def test_lp_feasible_diagonal():
 
 
 def test_affine_dim_examples():
-    assert affine_dim(HPolyhedron(2, [((1, 0), 0)], [])) == 1
-    assert affine_dim(HPolyhedron(1, [], [((1,), 1), ((-1,), 0)])) == -1
-    assert affine_dim(HPolyhedron(3, [], [])) == 3
+    assert HPolyhedron(2, [((1, 0), 0)], []).affine_dim() == 1
+    assert HPolyhedron(1, [], [((1,), 1), ((-1,), 0)]).affine_dim() == -1
+    assert HPolyhedron(3, [], []).affine_dim() == 3
 
 
 # ------------------------------------------------------------------- hulls
 
 
 def test_convex_hull_examples():
-    p = convex_hull([(0, 0), (1, 0), (0, 1), (Fraction(1, 4), Fraction(1, 4))])
+    p = VPolytope.hull([(0, 0), (1, 0), (0, 1), (Fraction(1, 4), Fraction(1, 4))])
     assert set(p.vertices) == {(0, 0), (1, 0), (0, 1)}
-    assert convex_hull([(0, 0)]).vertices == ((0, 0),)
-    seg = convex_hull([(0, 0), (2, 0), (1, 0)])
+    assert VPolytope.hull([(0, 0)]).vertices == ((0, 0),)
+    seg = VPolytope.hull([(0, 0), (2, 0), (1, 0)])
     assert set(seg.vertices) == {(0, 0), (2, 0)}
 
 
 def test_convex_hull_idempotent():
     pts = [(0, 0), (3, 1), (1, 3), (1, 1), (2, 2)]
-    p = convex_hull(pts)
-    assert convex_hull(p.vertices) == p
+    p = VPolytope.hull(pts)
+    assert VPolytope.hull(p.vertices) == p
 
 
 def test_minkowski_examples():
@@ -117,26 +116,73 @@ def test_minkowski_commutative():
     assert minkowski_sum(a, b) == minkowski_sum(b, a)
 
 
+@st.composite
+def point_sets(draw, n, max_points=8):
+    """Points base + sum c_i d_i with k <= n directions: full-dimensional,
+    coplanar, collinear or single sets, integer or rational, with repeats."""
+    coord = rationals if draw(st.booleans()) else st.integers(min_value=-3, max_value=3)
+    k = draw(st.integers(min_value=0, max_value=n))
+    base = draw(st.lists(coord, min_size=n, max_size=n))
+    dirs = draw(st.lists(st.lists(coord, min_size=n, max_size=n), min_size=k, max_size=k))
+    combos = draw(
+        st.lists(st.lists(st.integers(-2, 2), min_size=k, max_size=k), min_size=1, max_size=max_points)
+    )
+    pts = [
+        tuple(Fraction(b) + sum(c * d[j] for c, d in zip(cs, dirs)) for j, b in enumerate(base))
+        for cs in combos
+    ]
+    return pts + draw(st.lists(st.sampled_from(pts), max_size=3))
+
+
+dims = st.integers(min_value=1, max_value=4)
+
+
+@given(dims, st.data())
+@settings(deadline=None, max_examples=120)
+def test_hull_matches_lp_oracle(n, data):
+    pts = data.draw(point_sets(n))
+    assert list(VPolytope.hull(pts).vertices) == hull_vertices_lp(pts)
+
+
+@given(dims, st.data())
+@settings(deadline=None, max_examples=60)
+def test_hull_with_rays_matches_lp_oracle(n, data):
+    pts = data.draw(point_sets(n))
+    vec = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    rays = [r for r in data.draw(st.lists(vec, min_size=1, max_size=3)) if sum(r) > 0]
+    p = VPolytope.hull(pts, rays)  # every ray is positive on (1, ..., 1): a pointed cone
+    assert list(p.vertices) == hull_vertices_lp(pts, rays)
+
+
+@given(dims, st.data())
+@settings(deadline=None, max_examples=60)
+def test_minkowski_matches_lp_oracle(n, data):
+    a, b = data.draw(point_sets(n, max_points=4)), data.draw(point_sets(n, max_points=4))
+    sums = [tuple(x + y for x, y in zip(p, q)) for p in a for q in b]
+    total = minkowski_sum(VPolytope.hull(a), VPolytope.hull(b))
+    assert list(total.vertices) == hull_vertices_lp(sums)
+
+
 # ------------------------------------------------------------------ volume
 
 
 def test_volume_examples():
     tri = VPolytope.hull([(0, 0), (1, 0), (0, 1)])
-    assert volume_r(tri) == RadVal(Fraction(1, 2))
+    assert tri.volume() == RadVal(Fraction(1, 2))
     seg = VPolytope.hull([(0, 0), (1, 1)])
-    assert volume_r(seg) == RadVal.from_sqrt(1, 2)
+    assert seg.volume() == RadVal.from_sqrt(1, 2)
     square = VPolytope.hull([(0, 0), (1, 0), (0, 1), (1, 1)])
-    assert volume_r(square) == RadVal(Fraction(1))
+    assert square.volume() == RadVal(Fraction(1))
     point = VPolytope.hull([(3, 4)])
-    assert volume_r(point) == RadVal(Fraction(1))  # 0-dim volume is 1
+    assert point.volume() == RadVal(Fraction(1))  # 0-dim volume is 1
 
 
 def test_volume_full_dim_is_rational_and_scales():
     p = VPolytope.hull([(0, 0), (3, 1), (1, 2), (2, 3)])
-    v = volume_r(p)
+    v = p.volume()
     assert v.s == 1
     doubled = VPolytope.hull([tuple(2 * c for c in pt) for pt in p.vertices])
-    assert volume_r(doubled) == v.scaled(4)  # lambda^r with r = 2
+    assert doubled.volume() == v.scaled(4)  # lambda^r with r = 2
 
 
 @given(st.lists(st.tuples(rationals, rationals), min_size=1, max_size=6))
@@ -144,19 +190,56 @@ def test_volume_full_dim_is_rational_and_scales():
 def test_volume_2d_matches_shoelace(points):
     p = VPolytope.hull(points)
     if p.affine_dim() == 2:
-        assert volume_r(p) == RadVal(polygon_area(points))
+        assert p.volume() == RadVal(polygon_area(points))
+
+
+def _apply(matrix, shift, pts):
+    return [tuple(sum(a * x for a, x in zip(row, p)) + t for row, t in zip(matrix, shift)) for p in pts]
+
+
+@given(dims, st.data())
+@settings(deadline=None, max_examples=80)
+def test_volume_invariant_under_order_and_signed_permutations(n, data):
+    pts = data.draw(point_sets(n))
+    vol = VPolytope.hull(pts).volume()
+    shuffled = data.draw(st.permutations(pts))
+    assert VPolytope(n, shuffled).volume() == vol
+    perm = data.draw(st.permutations(range(n)))
+    signs = data.draw(st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n))
+    matrix = [[signs[i] * int(j == perm[i]) for j in range(n)] for i in range(n)]
+    shift = data.draw(st.lists(rationals, min_size=n, max_size=n))
+    assert VPolytope.hull(_apply(matrix, shift, pts)).volume() == vol
+
+
+@given(dims, st.data())
+@settings(deadline=None, max_examples=80)
+def test_full_dim_volume_invariant_under_unimodular_maps(n, data):
+    pts = data.draw(point_sets(n))
+    p = VPolytope.hull(pts)
+    matrix = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, j, c in data.draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-2, 2)), max_size=4)
+    ):
+        if i != j:
+            matrix[i] = [x + c * y for x, y in zip(matrix[i], matrix[j])]
+    shift = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    image = VPolytope.hull(_apply(matrix, shift, pts))
+    if p.affine_dim() == n:
+        assert image.volume() == p.volume()
+    else:
+        assert image.affine_dim() == p.affine_dim()
 
 
 # --------------------------------------------------------------- polyhedra
 
 
 def test_lineality_examples():
-    basis = lineality_space(HPolyhedron(2, [((1, 0), 0)], []))
+    basis = HPolyhedron(2, [((1, 0), 0)], []).lineality_basis()
     assert len(basis) == 1 and basis[0][0] == 0 and basis[0][1] != 0
-    assert lineality_space(HPolyhedron(2, [], [((1, 0), 0), ((0, 1), 0)])) == []
-    assert len(lineality_space(HPolyhedron(2, [], []))) == 2
+    assert HPolyhedron(2, [], [((1, 0), 0), ((0, 1), 0)]).lineality_basis() == []
+    assert len(HPolyhedron(2, [], []).lineality_basis()) == 2
     with pytest.raises(EmptyPolyhedronError):
-        lineality_space(HPolyhedron(1, [], [((1,), 1), ((-1,), 0)]))
+        HPolyhedron(1, [], [((1,), 1), ((-1,), 0)]).lineality_basis()
 
 
 def test_canonical_identifies_equal_polyhedra():
@@ -198,3 +281,12 @@ def test_feasible_point_satisfies_constraints(n, data):
     x = p.feasible_point()
     assert x is not None
     assert p.contains(x)
+
+
+# -------------------------------------------------------------- invariants
+
+
+def test_exactgeom_has_no_assert():
+    tree = ast.parse(inspect.getsource(exactgeom))
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
+
