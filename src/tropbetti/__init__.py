@@ -7,7 +7,14 @@ face bounds, and realizes rational polyhedral complexes as prevarieties.
 """
 
 from .arrangement import Arrangement, ArrFace, Hyperplane, build_arrangement, enumerate_faces
-from .bounds import BoundReport, degree_bound, dense_volume_bound, sparse_bound, verify_bounds
+from .bounds import (
+    BoundReport,
+    bound_report,
+    degree_bound,
+    dense_volume_bound,
+    sparse_bound,
+    verify_bounds,
+)
 from .corpus import complex_corpus, random_complex, random_system, system_corpus
 from .exactgeom import (
     DimensionMismatch,

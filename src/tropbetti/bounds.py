@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 
 from .exactgeom import RadVal, minkowski_sum
-from .prevariety import cells_via_arrangement, face_count
-from .topology import betti_of_complex
+from .prevariety import PrevarietyComplex, cells_via_arrangement, face_count
+from .topology import BettiVector, betti_of_complex
 from .tropical import LaurentError, TropSystem, degree, newton_polytope
 
 
@@ -78,8 +78,13 @@ class BoundReport:
 
 def verify_bounds(s: TropSystem) -> BoundReport:
     complex_ = cells_via_arrangement(s)
+    return bound_report(s, complex_, betti_of_complex(complex_))
+
+
+def bound_report(s: TropSystem, complex_: PrevarietyComplex, betti: BettiVector) -> BoundReport:
+    """The three bounds checked against a prevariety's cells and Betti numbers."""
     phi = face_count(complex_)
-    total_b = betti_of_complex(complex_).total
+    total_b = betti.total
     r, vol = _newton_sum_volume(s)
     dense = vol.scaled((2 ** (r + 1) - 1) * math.factorial(r))
     try:

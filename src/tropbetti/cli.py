@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .arrangement import build_arrangement
-from .bounds import BoundReport, verify_bounds
+from .bounds import BoundReport, bound_report, verify_bounds
 from .corpus import system_corpus
 from .exactgeom import HPolyhedron, RadVal
 from .linprog import relint_witness
@@ -213,12 +213,15 @@ def _oracle_sign_vectors(arr) -> set[tuple[int, ...]]:
 
 
 def check_system(s: TropSystem, oracle: bool = False) -> dict:
-    report = _bound_report_json(verify_bounds(s))
-    comp = cells_via_arrangement(s)
-    report["betti"] = list(betti_of_complex(comp).b)
-
+    # The dual route enumerates every arrangement face; the cells then
+    # filter that list instead of walking the covering flats again.
     trop = tropical_faces(dual_subdivision(s))
     duals = [dual_cell(s, f) for f in trop]
+    comp = cells_via_arrangement(s)
+    betti = betti_of_complex(comp)
+    report = _bound_report_json(bound_report(s, comp, betti))
+    report["betti"] = list(betti.b)
+
     cross_ok = {c.pattern for c in comp.cells} == {c.pattern for c in duals} and all(
         {c.pattern: c for c in comp.cells}[d.pattern].closure.canonical()
         == d.closure.canonical()

@@ -196,6 +196,16 @@ class HPolyhedron:
                 self._cache["feas"] = res.x if res.status is LPStatus.OPTIMAL else None
         return self._cache["feas"]
 
+    def record_point(self, point, stage: str) -> None:
+        """Take a point known to lie in the polyhedron as its feasible point.
+
+        Spares the emptiness LP; a point outside is a defect of the caller
+        and raises ``InvariantError`` naming its stage.
+        """
+        if not self.contains(point):
+            raise InvariantError(stage, "recorded point lies outside the polyhedron")
+        self._cache.setdefault("feas", linalg.fvec(point))
+
     def is_empty(self) -> bool:
         return self.feasible_point() is None
 
@@ -266,15 +276,24 @@ class HPolyhedron:
         if linalg.nullspace(normals, self.n):
             self._cache["bounded"] = False
             return False
-        # recession cone {v : eq.v = 0, ineq.v >= 0}; nonzero ray test
-        if not self.ineq:
-            self._cache["bounded"] = True  # lineality is zero and cone is kernel
-            return True
-        eqs = [(list(a), 0) for a, _ in self.eq]
-        ineqs = [(list(a), 0) for a, _ in self.ineq]
-        total = [sum(col) for col in zip(*(a for a, _ in self.ineq))]
-        ineqs.append(([-v for v in total], -1))
-        res = solve_lp(self.n, eqs, ineqs, total, maximize=True)
+        # Recession cone {v : eq.v = 0, ineq.v >= 0}, written as {B y >= 0}
+        # in coordinates y of a basis of the equalities' kernel.  Scaling a
+        # row of B by a positive factor keeps the cone, so B is kept as
+        # distinct primitive rows.  Without lineality B has full column
+        # rank, so any y != 0 in the cone has sum(B) . y > 0.
+        kernel = linalg.nullspace([list(a) for a, _ in self.eq], self.n)
+        rows = set()
+        for a, _ in self.ineq:
+            row = [linalg.dot(a, u) for u in kernel]
+            if not linalg.is_zero_vec(row):
+                rows.add(linalg.primitive(row)[0])
+        if len(kernel) <= 1:
+            # a point, or a line cut from both sides
+            self._cache["bounded"] = len(rows) == 2 * len(kernel)
+            return self._cache["bounded"]
+        total = [sum(col) for col in zip(*rows)]
+        ineqs = [(list(r), 0) for r in rows] + [([-v for v in total], -1)]
+        res = solve_lp(len(kernel), [], ineqs, total, maximize=True)
         if res.status is not LPStatus.OPTIMAL:
             raise InvariantError("HPolyhedron.is_bounded", f"recession-cone LP {res.status.value}")
         self._cache["bounded"] = res.value == 0
@@ -352,43 +371,6 @@ class HPolyhedron:
             if x is not None and self.contains(x):
                 out.add(x)
         return sorted(out)
-
-
-@dataclass(frozen=True)
-class FeasibilityResult:
-    feasible: bool
-    point: tuple | None = None
-    certificate: tuple | None = None
-
-
-def lp_feasible(p: HPolyhedron) -> FeasibilityResult:
-    """Witness point, or an exact Farkas certificate of infeasibility.
-
-    The certificate is a multiplier per constraint row (equalities first):
-    nonnegative on inequality rows, with sum_i y_i a_i = 0 and
-    sum_i y_i b_i = 1, which contradicts feasibility.
-    """
-    w = p.feasible_point()
-    if w is not None:
-        return FeasibilityResult(True, w)
-    rows = list(p.eq) + list(p.ineq)
-    if p.forced_empty and not rows:
-        return FeasibilityResult(False, certificate=())
-    m = len(rows)
-    eqs = []
-    for j in range(p.n):
-        eqs.append(([rows[i][0][j] for i in range(m)], 0))
-    eqs.append(([rows[i][1] for i in range(m)], 1))
-    ineqs = []
-    for i in range(len(p.eq), m):
-        e = [0] * m
-        e[i] = 1
-        ineqs.append((e, 0))
-    res = solve_lp(m, eqs, ineqs)
-    if res.status is not LPStatus.OPTIMAL:
-        # only possible when emptiness came from a degenerate 0 >= b row
-        return FeasibilityResult(False, certificate=None)
-    return FeasibilityResult(False, certificate=res.x)
 
 
 class VPolytope:

@@ -104,15 +104,6 @@ def nullspace(a_rows, n: int) -> list[Vec]:
     return basis
 
 
-def in_rowspace(v, a_rows) -> bool:
-    """True iff v lies in the row space of A."""
-    if is_zero_vec(v):
-        return True
-    if not a_rows:
-        return False
-    return rank(list(a_rows) + [list(v)]) == rank(a_rows)
-
-
 def _gcd_all(xs) -> int:
     g = 0
     for x in xs:

@@ -3,25 +3,32 @@
 Route 1 (tie patterns): every face of the tie arrangement carries a
 constant argmin pattern; the faces whose pattern has at least two entries
 per polynomial cover the prevariety, and faces sharing a pattern B are
-merged into the single convex, relatively open cell U_B.
+merged into the single convex, relatively open cell U_B.  Such a face has
+a tie in every polynomial, so it lies on a covering flat, and the route
+enumerates only those faces (``Arrangement.covering_faces``).
+
+Patterns are read from sign vectors, not by evaluating monomials: for
+monomials j1 < j2 of one polynomial, sign(m_j1 - m_j2) is the sign of the
+pair's tie hyperplane times a fixed orientation, and a pair with equal
+exponents compares its constants.
 
 Route 2 (dual subdivision): the bottom faces of the Minkowski sum of the
 extended Newton polytopes, with their canonical decomposition
 F = F_1 + ... + F_k.  Tropical faces (every summand of positive dimension)
 dualize to the closed cells G(F) of the prevariety, with
-dim F + dim G(F) = n.
+dim F + dim G(F) = n.  The bottom faces are read off all arrangement
+faces (``Arrangement.faces``), covering or not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from . import linalg
 from .arrangement import ArrFace, Arrangement, build_arrangement
 from .exactgeom import EmptyPolyhedronError, HPolyhedron, VPolytope, minkowski_sum
-from .tropical import TropSystem, eval_poly
+from .tropical import TropSystem
 
 
 @dataclass(frozen=True)
@@ -59,47 +66,53 @@ class TiePattern:
 
 def tie_pattern(s: TropSystem, face: ArrFace) -> TiePattern:
     """Argmin pattern on the face's relative interior (constant there)."""
-    return _pattern_at(s, face.witness)
+    return _pattern_reader(s, face.arrangement)(face.signs)
 
 
-def _pattern_at(s: TropSystem, x) -> TiePattern:
-    pairs = []
-    for i, f in enumerate(s.polys):
-        _, argmin = eval_poly(f, x)
-        pairs.extend((i, j) for j in argmin)
-    return TiePattern.make(pairs)
+def _pattern_reader(s: TropSystem, arr: Arrangement):
+    """Function from a face's sign vector to its argmin pattern.
 
-
-class _SystemEvaluator:
-    """Evaluates argmin patterns with each distinct affine form computed once.
-
-    Product systems repeat the same monomials across polynomials; sharing
-    their values makes per-witness pattern extraction cheap.
+    A tie hyperplane of monomials j1 < j2 has the primitive normal of
+    a_j1 - a_j2 with first nonzero entry positive, so m_j1 - m_j2 is a
+    positive or negative multiple of the hyperplane's value: its sign is
+    the orientation (the sign of the first nonzero entry of a_j1 - a_j2)
+    times the face's sign on that hyperplane.  A pair with a_j1 = a_j2
+    has distinct constants and a constant sign.
     """
+    where = {src: h for h, hp in enumerate(arr.hyperplanes) for src in hp.sources}
+    tables = []
+    for i, f in enumerate(s.polys):
+        # cmp[j1][j2] = (h, o): sign(m_j1 - m_j2) = o * signs[h], or o when h < 0
+        cmp = [[None] * f.m for _ in range(f.m)]
+        for j1 in range(f.m):
+            for j2 in range(j1 + 1, f.m):
+                m1, m2 = f.monomials[j1], f.monomials[j2]
+                h = where.get((i, j1, j2))
+                if h is None:
+                    cmp[j1][j2] = (-1, 1 if m1.b > m2.b else -1)
+                else:
+                    lead = next(x for x in linalg.vsub(m1.a, m2.a) if x)
+                    cmp[j1][j2] = (h, 1 if lead > 0 else -1)
+        tables.append(cmp)
 
-    def __init__(self, s: TropSystem):
-        self.s = s
-        self.forms = []
-        index: dict[tuple, int] = {}
-        self.poly_refs = []
-        for f in s.polys:
-            refs = []
-            for j, mon in enumerate(f.monomials):
-                key = (mon.a, mon.b)
-                fi = index.get(key)
-                if fi is None:
-                    fi = index[key] = len(self.forms)
-                    self.forms.append(mon)
-                refs.append((j, fi))
-            self.poly_refs.append(refs)
-
-    def pattern_at(self, x) -> TiePattern:
-        vals = [form(x) for form in self.forms]
+    def read(signs, zero_only: bool = False) -> TiePattern | None:
+        """The pattern; with ``zero_only``, None unless it is a zero pattern."""
         pairs = []
-        for i, refs in enumerate(self.poly_refs):
-            lo = min(vals[fi] for _, fi in refs)
-            pairs.extend((i, j) for j, fi in refs if vals[fi] == lo)
+        for i, cmp in enumerate(tables):
+            best = [0]
+            for j in range(1, len(cmp)):
+                h, o = cmp[best[0]][j]
+                sg = o * signs[h] if h >= 0 else o
+                if sg > 0:
+                    best = [j]
+                elif sg == 0:
+                    best.append(j)
+            if zero_only and len(best) < 2:
+                return None
+            pairs.extend((i, j) for j in best)
         return TiePattern(tuple(pairs))
+
+    return read
 
 
 def pattern_closure(s: TropSystem, b: TiePattern) -> HPolyhedron:
@@ -141,7 +154,10 @@ class PrevarietyCell:
 
     @cached_property
     def closure(self) -> HPolyhedron:
-        return pattern_closure(self.system, self.pattern)
+        closure = pattern_closure(self.system, self.pattern)
+        # the witness has pattern B, so it lies in U_B and in its closure
+        closure.record_point(self.witness, "PrevarietyCell.closure")
+        return closure
 
     @cached_property
     def bounded(self) -> bool:
@@ -194,20 +210,13 @@ class PrevarietyComplex:
 def cells_via_arrangement(s: TropSystem) -> PrevarietyComplex:
     """Prevariety cells as merged tie-pattern classes of arrangement faces."""
     arr = build_arrangement(s)
-    evaluator = _SystemEvaluator(s)
+    read = _pattern_reader(s, arr)
     # a zero pattern needs a tie in every polynomial, and any tie of two
     # distinct monomials sits on a hyperplane sourced from that polynomial
-    hp_polys = [frozenset(i for i, _, _ in h.sources) for h in arr.hyperplanes]
-    all_polys = frozenset(range(s.k))
     groups: dict[TiePattern, list[ArrFace]] = {}
-    for face in arr.faces():
-        covered: set[int] = set()
-        for i in face.zero_set:
-            covered |= hp_polys[i]
-        if covered != all_polys:
-            continue
-        b = evaluator.pattern_at(face.witness)
-        if b.is_zero_pattern(s.k):
+    for face in arr.covering_faces():
+        b = read(face.signs, zero_only=True)
+        if b is not None:
             groups.setdefault(b, []).append(face)
     cells = []
     for b, faces in groups.items():
@@ -219,7 +228,8 @@ def cells_via_arrangement(s: TropSystem) -> PrevarietyComplex:
 def cell_closure(s: TropSystem, b: TiePattern) -> set[TiePattern]:
     """Patterns of the proper faces of U_B (they partition its boundary)."""
     arr = build_arrangement(s)
-    realized = {tie_pattern(s, face) for face in arr.faces()}
+    read = _pattern_reader(s, arr)
+    realized = {read(face.signs) for face in arr.faces()}
     if b not in realized:
         raise EmptyPolyhedronError("U_B is empty: pattern not realized")
     return {b1 for b1 in realized if b < b1}
@@ -273,10 +283,10 @@ class DualFace:
 def dual_subdivision(s: TropSystem) -> list[DualFace]:
     """All bottom faces of Q_1 + ... + Q_k, via arrangement witnesses."""
     arr = build_arrangement(s)
-    evaluator = _SystemEvaluator(s)
+    read = _pattern_reader(s, arr)
     seen: dict[TiePattern, DualFace] = {}
     for face in arr.faces():
-        b = evaluator.pattern_at(face.witness)
+        b = read(face.signs)
         if b not in seen:
             seen[b] = DualFace(s, b)
     return sorted(seen.values(), key=lambda f: f.pattern.pairs)

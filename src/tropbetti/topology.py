@@ -121,6 +121,9 @@ def reduce_lineality(component: list[PrevarietyCell]) -> tuple[int, list[Prevari
         for c, u in zip(coeffs, lin_basis):
             w = linalg.vsub(w, linalg.vscale(c, u))
         sliced = cell.closure.intersect(HPolyhedron(n, [(u, 0) for u in lin_basis], []))
+        # the closure is invariant along L, so w, the witness minus its
+        # L-component, lies in the slice
+        sliced.record_point(w, "reduce_lineality")
         new = PrevarietyCell(cell.system, cell.pattern, cell.dim - d, w)
         new.__dict__["closure"] = sliced
         reduced.append(new)

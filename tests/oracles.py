@@ -14,6 +14,11 @@ Each oracle deliberately avoids the code path it is used to check:
   hull under test uses no LP.
 - ``univariate_zeros`` finds breakpoints of a univariate min-envelope from
   pairwise tie candidates.
+- ``is_bounded_lp`` decides boundedness with one LP over the full
+  recession cone; ``HPolyhedron.is_bounded`` first reduces the cone to the
+  equalities' kernel and distinct rows, and needs no LP up to dimension 1.
+- ``pattern_at`` evaluates every monomial at a point with ``eval_poly``;
+  the cells and the dual route read patterns from sign vectors instead.
 """
 
 from __future__ import annotations
@@ -24,7 +29,8 @@ from fractions import Fraction
 import sympy
 
 from tropbetti.linprog import LPStatus, relint_witness, solve_lp
-from tropbetti.tropical import TropPoly, is_zero
+from tropbetti.prevariety import TiePattern
+from tropbetti.tropical import TropPoly, eval_poly, is_zero
 
 
 def sign_vectors_bruteforce(arr) -> dict[tuple[int, ...], tuple[Fraction, ...]]:
@@ -130,3 +136,28 @@ def univariate_zeros(f: TropPoly) -> list[Fraction]:
         if m1.a[0] != m2.a[0]:
             candidates.add(Fraction(m2.b - m1.b, m1.a[0] - m2.a[0]))
     return sorted(x for x in candidates if is_zero(f, (x,)))
+
+
+def pattern_at(s, x) -> TiePattern:
+    """Argmin pattern of a system at x, every monomial evaluated exactly."""
+    pairs = []
+    for i, f in enumerate(s.polys):
+        _, argmin = eval_poly(f, x)
+        pairs.extend((i, j) for j in argmin)
+    return TiePattern.make(pairs)
+
+
+def is_bounded_lp(p) -> bool:
+    """A nonempty H-polyhedron is bounded iff its recession cone is {0}."""
+    normals = [list(a) for a, _ in p.eq] + [list(a) for a, _ in p.ineq]
+    if rational_rank(normals) < p.n:
+        return False  # it contains a line
+    if not p.ineq:
+        return True
+    eqs = [(list(a), 0) for a, _ in p.eq]
+    ineqs = [(list(a), 0) for a, _ in p.ineq]
+    total = [sum(col) for col in zip(*(a for a, _ in p.ineq))]
+    ineqs.append(([-v for v in total], -1))
+    res = solve_lp(p.n, eqs, ineqs, total, maximize=True)
+    assert res.status is LPStatus.OPTIMAL
+    return res.value == 0

@@ -5,11 +5,12 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropbetti.arrangement import build_arrangement, face_count
-from tropbetti.corpus import random_system
+from tropbetti.arrangement import Arrangement, build_arrangement, enumerate_faces, face_count
+from tropbetti.corpus import random_system, system_corpus
 from tropbetti.tropical import LinForm, TropPoly, TropSystem
 
 from oracles import sign_vectors_bruteforce
+from strategies import small_systems
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -147,3 +148,54 @@ def test_closure_consistency():
             ) and g.signs != f.signs
             if refines:
                 assert f.closure.contains(g.witness)
+
+
+# ------------------------------------------------------ covering faces
+
+
+def _face_keys(faces):
+    return [(f.signs, f.dim, f.witness) for f in faces]
+
+
+def _covering_by_sources(arr, face):
+    """Whether the face's zero hyperplanes have source ties in every polynomial."""
+    polys = {i for h, s in zip(arr.hyperplanes, face.signs) if s == 0 for i, _, _ in h.sources}
+    return len(polys) == arr.k
+
+
+def assert_covering_enumeration_matches(s):
+    """The walk over covering flats equals the full walk, filtered."""
+    arr = build_arrangement(s)
+    full = enumerate_faces(arr)
+    want = [f for f in full if _covering_by_sources(arr, f)]
+    assert _face_keys(enumerate_faces(arr, covering=True)) == _face_keys(want)
+    # both ways of filling Arrangement.covering_faces agree as well
+    walked = Arrangement(arr.n, arr.k, arr.hyperplanes, arr.degenerate_pairs)
+    filtered = Arrangement(arr.n, arr.k, arr.hyperplanes, arr.degenerate_pairs)
+    filtered.faces()
+    assert _face_keys(walked.covering_faces()) == _face_keys(filtered.covering_faces()) == _face_keys(want)
+
+
+def test_covering_enumeration_examples():
+    # single monomial: no ties, no covering face
+    lone = TropSystem(2, [poly(((1, 0), 0), ((0, 0), 0)), poly(((0, 1), 3))])
+    assert build_arrangement(lone).covering_faces() == ()
+    # a degenerate pair (x + 0, x + 1) never ties; the other pairs of the
+    # second polynomial do, on the lines x = y + 2 and x = y + 1
+    degen = TropSystem(2, [poly(((1, 0), 0), ((0, 0), 0)), poly(((1, 0), 0), ((1, 0), 1), ((0, 1), 2))])
+    arr = build_arrangement(degen)
+    assert arr.degenerate_pairs
+    assert [f.dim for f in arr.covering_faces()] == [0, 0]
+    for s in (lone, degen, LINE):
+        assert_covering_enumeration_matches(s)
+
+
+def test_covering_enumeration_on_corpus():
+    for s in system_corpus(20260823, 40):
+        assert_covering_enumeration_matches(s)
+
+
+@given(small_systems())
+@settings(deadline=None, max_examples=80)
+def test_covering_enumeration_random(s):
+    assert_covering_enumeration_matches(s)

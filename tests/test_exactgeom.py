@@ -10,14 +10,14 @@ from tropbetti import exactgeom
 from tropbetti.exactgeom import (
     EmptyPolyhedronError,
     HPolyhedron,
+    InvariantError,
     RadVal,
     VPolytope,
-    lp_feasible,
     minkowski_sum,
     sqfree_decompose,
 )
 
-from oracles import hull_vertices_lp, polygon_area
+from oracles import hull_vertices_lp, is_bounded_lp, polygon_area
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -59,20 +59,28 @@ def test_radval_incompatible_addition():
 
 
 def test_lp_feasible_interval():
-    res = lp_feasible(HPolyhedron(1, [], [((1,), 0), ((-1,), -1)]))
-    assert res.feasible and 0 <= res.point[0] <= 1
+    p = HPolyhedron(1, [], [((1,), 0), ((-1,), -1)])
+    assert not p.is_empty() and 0 <= p.feasible_point()[0] <= 1
 
 
 def test_lp_feasible_contradiction():
-    res = lp_feasible(HPolyhedron(1, [], [((1,), 1), ((-1,), 0)]))
-    assert not res.feasible
+    p = HPolyhedron(1, [], [((1,), 1), ((-1,), 0)])
+    assert p.is_empty() and p.feasible_point() is None
 
 
 def test_lp_feasible_diagonal():
-    res = lp_feasible(HPolyhedron(2, [((1, -1), 0)], [((1, 0), 0), ((0, 1), 0)]))
-    assert res.feasible
-    x, y = res.point
+    p = HPolyhedron(2, [((1, -1), 0)], [((1, 0), 0), ((0, 1), 0)])
+    assert not p.is_empty()
+    x, y = p.feasible_point()
     assert x == y and x >= 0
+
+
+def test_record_point():
+    p = HPolyhedron(1, [], [((1,), 0), ((-1,), -1)])
+    p.record_point((Fraction(1, 3),), "test")
+    assert p.feasible_point() == (Fraction(1, 3),)
+    with pytest.raises(InvariantError, match="test: recorded point"):
+        HPolyhedron(1, [], [((1,), 0)]).record_point((-1,), "test")
 
 
 def test_affine_dim_examples():
@@ -281,6 +289,20 @@ def test_feasible_point_satisfies_constraints(n, data):
     x = p.feasible_point()
     assert x is not None
     assert p.contains(x)
+
+
+@given(st.integers(min_value=1, max_value=4), st.data())
+@settings(deadline=None, max_examples=150)
+def test_is_bounded_matches_lp_oracle(n, data):
+    anchor = data.draw(st.lists(rationals, min_size=n, max_size=n))
+    coeffs = st.lists(st.integers(min_value=-2, max_value=2), min_size=n, max_size=n)
+    eqs = [(a, sum(Fraction(c) * x for c, x in zip(a, anchor))) for a in data.draw(st.lists(coeffs, max_size=2))]
+    ineqs = [
+        (a, sum(Fraction(c) * x for c, x in zip(a, anchor)) - data.draw(st.integers(0, 2)))
+        for a in data.draw(st.lists(coeffs, max_size=7))
+    ]
+    p = HPolyhedron(n, eqs, ineqs)
+    assert p.is_bounded() == is_bounded_lp(p)
 
 
 # -------------------------------------------------------------- invariants

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropbetti.arrangement import build_arrangement
+from tropbetti.arrangement import build_arrangement, enumerate_faces
 from tropbetti.arrangement import face_count as arr_face_count
-from tropbetti.corpus import random_system
+from tropbetti.corpus import random_system, system_corpus
 from tropbetti.exactgeom import EmptyPolyhedronError, HPolyhedron
 from tropbetti.prevariety import (
     TiePattern,
+    _pattern_reader,
     cell_closure,
     cells_via_arrangement,
     connected_components,
@@ -20,8 +21,11 @@ from tropbetti.prevariety import (
     tie_pattern,
     tropical_faces,
 )
-from tropbetti.realize import gen_grid_example
+from tropbetti.realize import ComplexDescription, complex_prevariety, gen_grid_example
 from tropbetti.tropical import LinForm, TropPoly, TropSystem, is_system_zero
+
+from oracles import pattern_at
+from strategies import small_systems
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -175,24 +179,20 @@ def test_cross_method_equality_seeded():
 def test_sampled_patterns_appear_in_subdivision():
     rng = random.Random(5)
     s = random_system(rng, max_k=2, max_m=3)
-    from tropbetti.prevariety import _pattern_at
-
     patterns = {f.pattern for f in dual_subdivision(s)}
     for _ in range(200):
         x = tuple(Fraction(rng.randint(-30, 30), rng.randint(1, 4)) for _ in range(s.n))
-        assert _pattern_at(s, x) in patterns
+        assert pattern_at(s, x) in patterns
 
 
 def test_partition_of_prevariety():
     rng = random.Random(17)
     s = random_system(rng, max_k=2, max_m=4)
     comp = cells_via_arrangement(s)
-    from tropbetti.prevariety import _pattern_at
-
     cell_patterns = {c.pattern for c in comp.cells}
     for _ in range(300):
         x = tuple(Fraction(rng.randint(-30, 30), rng.randint(1, 4)) for _ in range(s.n))
-        b = _pattern_at(s, x)
+        b = pattern_at(s, x)
         if is_system_zero(s, x):
             assert b in cell_patterns  # x is in the relative interior of one cell
         else:
@@ -226,3 +226,56 @@ def test_closure_lattice_intersection_property():
             meet = a.closure.intersect(b.closure)
             if not meet.is_empty():
                 assert meet.canonical() in canon
+
+
+# ------------------------------------------------ patterns from sign vectors
+
+
+def assert_sign_patterns_match_evaluation(s, faces):
+    read = _pattern_reader(s, build_arrangement(s))
+    for face in faces:
+        b = pattern_at(s, face.witness)
+        assert read(face.signs) == b
+        assert read(face.signs, zero_only=True) == (b if b.is_zero_pattern(s.k) else None)
+
+
+def test_sign_patterns_on_corpus():
+    for s in system_corpus(20260823, 40):
+        assert_sign_patterns_match_evaluation(s, build_arrangement(s).faces())
+
+
+@given(small_systems())
+@settings(deadline=None, max_examples=80)
+def test_sign_patterns_random(s):
+    assert_sign_patterns_match_evaluation(s, build_arrangement(s).faces())
+
+
+def test_square_covering_faces_and_patterns():
+    """Acceptance criterion 6's square: 140 hyperplanes, 81 polynomials."""
+
+    def seg(eq, ineqs):
+        return HPolyhedron(2, [eq], ineqs)
+
+    s = complex_prevariety(
+        ComplexDescription.make(
+            2,
+            [
+                seg(((0, 1), 0), [((1, 0), 0), ((-1, 0), -1)]),
+                seg(((0, 1), 1), [((1, 0), 0), ((-1, 0), -1)]),
+                seg(((1, 0), 0), [((0, 1), 0), ((0, -1), -1)]),
+                seg(((1, 0), 1), [((0, 1), 0), ((0, -1), -1)]),
+            ],
+        )
+    )
+    arr = build_arrangement(s)
+    full = enumerate_faces(arr)
+    keys = [(f.signs, f.dim, f.witness) for f in full if arr.covers(f.zero_set)]
+    covering = enumerate_faces(arr, covering=True)
+    assert [(f.signs, f.dim, f.witness) for f in covering] == keys
+    assert len(covering) < len(full) / 10
+    # evaluating all 81 polynomials takes ~25 ms a face: check every 8th
+    # covering face and, through the cells, the witness of every pattern
+    assert_sign_patterns_match_evaluation(s, covering[::8])
+    cells = cells_via_arrangement(s).cells
+    assert len(cells) == 8
+    assert all(pattern_at(s, c.witness) == c.pattern for c in cells)
