@@ -1,9 +1,10 @@
 """Exact-arithmetic toolkit for tropical prevarieties.
 
-Builds the polyhedral cell complex of a min-plus polynomial system two
-independent ways (tie-pattern arrangement faces and dual Newton
-subdivision), computes exact Betti numbers, verifies volume/degree/sparse
-face bounds, and realizes rational polyhedral complexes as prevarieties.
+Builds the polyhedral cell complex of a min-plus polynomial system from
+its tie arrangement (tie-pattern faces, cross-checked against dual cells
+read off the same arrangement's faces), computes exact Betti numbers,
+verifies volume/degree/sparse face bounds, and realizes rational
+polyhedral complexes as prevarieties.
 """
 
 from .arrangement import Arrangement, ArrFace, Hyperplane, build_arrangement, enumerate_faces
@@ -22,7 +23,6 @@ from .exactgeom import (
     HPolyhedron,
     InvariantError,
     RadVal,
-    UnboundedPolytopeError,
     VPolytope,
     minkowski_sum,
 )
@@ -31,13 +31,10 @@ from .prevariety import (
     PrevarietyCell,
     PrevarietyComplex,
     TiePattern,
-    cell_closure,
     cells_via_arrangement,
     connected_components,
     dual_cell,
     dual_subdivision,
-    face_count,
-    tie_pattern,
     tropical_faces,
 )
 from .realize import (
@@ -50,11 +47,9 @@ from .realize import (
 )
 from .topology import (
     BettiVector,
-    CellComplex,
     SimplicialComplex,
     betti,
     betti_of_complex,
-    betti_of_prevariety,
     bounded_subcomplex,
     reduce_lineality,
     triangulate,
@@ -67,7 +62,6 @@ from .tropical import (
     degree,
     drop_dominated,
     eval_poly,
-    extended_newton_polytope,
     is_system_zero,
     is_zero,
     newton_polytope,
@@ -75,5 +69,3 @@ from .tropical import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

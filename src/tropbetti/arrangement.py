@@ -21,7 +21,12 @@ definers, so covering flats are closed under descent, and the stepping
 above run over the covering flats alone finds exactly the covering faces
 (the facets it steps off lie on covering subflats).  ``faces()`` walks
 every flat, as the dual route and the sign-vector oracle need;
-``covering_faces()`` walks only the covering ones, as the cells need.
+``covering_faces()`` walks only the covering ones, as the cells need,
+or filters ``faces()`` when that list is already there.
+
+An arrangement caches its face lists, and each system owns its
+arrangement (``TropSystem.arrangement``), so the lists live exactly as
+long as the system; nothing is cached across systems.
 """
 
 from __future__ import annotations
@@ -30,11 +35,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 from . import linalg
-from .exactgeom import HPolyhedron
-from .tropical import TropSystem
+
+if TYPE_CHECKING:
+    from .tropical import TropSystem
 
 
 def _sign(v) -> int:
@@ -60,8 +67,7 @@ class Hyperplane:
 class ArrFace:
     """Relatively open face of an arrangement: one sign vector's cell."""
 
-    def __init__(self, arrangement: "Arrangement", signs: tuple[int, ...], dim: int, witness):
-        self.arrangement = arrangement
+    def __init__(self, signs: tuple[int, ...], dim: int, witness):
         self.signs = signs
         self.dim = dim
         self.witness = linalg.fvec(witness)
@@ -78,24 +84,6 @@ class ArrFace:
     @cached_property
     def zero_set(self) -> frozenset[int]:
         return frozenset(i for i, s in enumerate(self.signs) if s == 0)
-
-    @cached_property
-    def closure(self) -> HPolyhedron:
-        eqs, ineqs = [], []
-        for h, s in zip(self.arrangement.hyperplanes, self.signs):
-            if s == 0:
-                eqs.append((h.normal, h.offset))
-            else:
-                ineqs.append((linalg.vscale(s, h.normal), s * h.offset))
-        return HPolyhedron(self.arrangement.n, eqs, ineqs)
-
-    @cached_property
-    def bounded(self) -> bool:
-        return self.closure.is_bounded()
-
-    def contains(self, x) -> bool:
-        x = linalg.fvec(x)
-        return all(_sign(h.value(x)) == s for h, s in zip(self.arrangement.hyperplanes, self.signs))
 
 
 class Arrangement:
@@ -120,10 +108,6 @@ class Arrangement:
     def __repr__(self):
         return f"Arrangement(n={self.n}, hyperplanes={self.ell})"
 
-    def sign_vector(self, x) -> tuple[int, ...]:
-        x = linalg.fvec(x)
-        return tuple(_sign(h.value(x)) for h in self.hyperplanes)
-
     def covers(self, zero_set) -> bool:
         """Whether the hyperplanes in zero_set tie monomials of all k polynomials."""
         covered: set[int] = set()
@@ -146,14 +130,7 @@ class Arrangement:
             self._cache["covering_faces"] = faces
         return self._cache["covering_faces"]
 
-    def face_at(self, x) -> ArrFace:
-        """The unique face whose relative interior contains x."""
-        if "by_sign" not in self._cache:
-            self._cache["by_sign"] = {f.signs: f for f in self.faces()}
-        return self._cache["by_sign"][self.sign_vector(x)]
 
-
-@lru_cache(maxsize=None)
 def build_arrangement(system: TropSystem) -> Arrangement:
     seen: dict[tuple[tuple[int, ...], Fraction], list[tuple[int, int, int]]] = {}
     degenerate = []
@@ -413,10 +390,6 @@ def enumerate_faces(arrangement: Arrangement, covering: bool = False) -> tuple[A
                             _FaceRec(signs, zero_set, witness, values, denom, fl)
                         )
 
-    faces = [ArrFace(arrangement, signs, dim, w) for signs, (dim, w) in found.items()]
+    faces = [ArrFace(signs, dim, w) for signs, (dim, w) in found.items()]
     faces.sort(key=lambda f: f.signs)
     return tuple(faces)
-
-
-def face_count(arrangement: Arrangement) -> int:
-    return len(arrangement.faces())

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .exactgeom import RadVal, minkowski_sum
-from .prevariety import PrevarietyComplex, cells_via_arrangement, face_count
+from .prevariety import PrevarietyComplex, cells_via_arrangement
 from .topology import BettiVector, betti_of_complex
 from .tropical import LaurentError, TropSystem, degree, newton_polytope
 
@@ -26,16 +26,25 @@ def _newton_sum_volume(s: TropSystem) -> tuple[int, RadVal]:
     return total.affine_dim(), total.volume()
 
 
+def _dense_scale(r: int) -> int:
+    """(2^(r+1) - 1) * r!, the dense bound's factor on Vol_r."""
+    return (2 ** (r + 1) - 1) * math.factorial(r)
+
+
 def dense_volume_bound(s: TropSystem) -> tuple[int, RadVal]:
     """(r, (2^(r+1)-1) * r! * Vol_r of the summed Newton polytopes)."""
     r, vol = _newton_sum_volume(s)
-    return r, vol.scaled((2 ** (r + 1) - 1) * math.factorial(r))
+    return r, vol.scaled(_dense_scale(r))
+
+
+def _max_degree(s: TropSystem) -> int:
+    """d, the maximum tropical degree; LaurentError for a Laurent system."""
+    return max(degree(f) for f in s.polys)
 
 
 def degree_bound(s: TropSystem) -> int:
     """(2^(n+1) - 1) * (k*d)^n, d the maximum tropical degree."""
-    d = max(degree(f) for f in s.polys)
-    return (2 ** (s.n + 1) - 1) * (s.k * d) ** s.n
+    return (2 ** (s.n + 1) - 1) * (s.k * _max_degree(s)) ** s.n
 
 
 def sparse_bound(n: int, k: int, m: int) -> int:
@@ -83,12 +92,12 @@ def verify_bounds(s: TropSystem) -> BoundReport:
 
 def bound_report(s: TropSystem, complex_: PrevarietyComplex, betti: BettiVector) -> BoundReport:
     """The three bounds checked against a prevariety's cells and Betti numbers."""
-    phi = face_count(complex_)
+    phi = len(complex_.cells)
     total_b = betti.total
     r, vol = _newton_sum_volume(s)
-    dense = vol.scaled((2 ** (r + 1) - 1) * math.factorial(r))
+    dense = vol.scaled(_dense_scale(r))
     try:
-        d = max(degree(f) for f in s.polys)
+        d: int | None = _max_degree(s)
         deg_bound: int | None = degree_bound(s)
         betti_le_degree: bool | None = total_b <= deg_bound
     except LaurentError:

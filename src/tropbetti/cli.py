@@ -16,7 +16,6 @@ import traceback
 from fractions import Fraction
 from pathlib import Path
 
-from .arrangement import build_arrangement
 from .bounds import BoundReport, bound_report, verify_bounds
 from .corpus import system_corpus
 from .exactgeom import HPolyhedron, RadVal
@@ -213,8 +212,8 @@ def _oracle_sign_vectors(arr) -> set[tuple[int, ...]]:
 
 
 def check_system(s: TropSystem, oracle: bool = False) -> dict:
-    # The dual route enumerates every arrangement face; the cells then
-    # filter that list instead of walking the covering flats again.
+    # The dual route enumerates every face of s.arrangement; the cells and
+    # the oracle then reuse that list instead of walking the flats again.
     trop = tropical_faces(dual_subdivision(s))
     duals = [dual_cell(s, f) for f in trop]
     comp = cells_via_arrangement(s)
@@ -222,10 +221,9 @@ def check_system(s: TropSystem, oracle: bool = False) -> dict:
     report = _bound_report_json(bound_report(s, comp, betti))
     report["betti"] = list(betti.b)
 
-    cross_ok = {c.pattern for c in comp.cells} == {c.pattern for c in duals} and all(
-        {c.pattern: c for c in comp.cells}[d.pattern].closure.canonical()
-        == d.closure.canonical()
-        for d in duals
+    by_pattern = {c.pattern: c for c in comp.cells}
+    cross_ok = by_pattern.keys() == {c.pattern for c in duals} and all(
+        by_pattern[d.pattern].closure.canonical() == d.closure.canonical() for d in duals
     )
     duality_ok = all(f.dim + g.dim == s.n for f, g in zip(trop, duals))
     report["cross_method_ok"] = cross_ok
@@ -233,7 +231,7 @@ def check_system(s: TropSystem, oracle: bool = False) -> dict:
 
     oracle_ok = None
     if oracle:
-        arr = build_arrangement(s)
+        arr = s.arrangement
         if arr.ell <= 6:
             got = {f.signs for f in arr.faces()}
             oracle_ok = got == _oracle_sign_vectors(arr)

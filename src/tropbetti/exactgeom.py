@@ -23,10 +23,6 @@ class DimensionMismatch(ValueError):
     pass
 
 
-class UnboundedPolytopeError(ValueError):
-    pass
-
-
 class EmptyPolyhedronError(ValueError):
     pass
 
@@ -83,15 +79,6 @@ class RadVal:
         if c < 0:
             raise ValueError("scale must be nonnegative")
         return RadVal(self.q * c, self.s)
-
-    def __add__(self, other: "RadVal") -> "RadVal":
-        if self.q == 0:
-            return other
-        if other.q == 0:
-            return self
-        if self.s != other.s:
-            raise ValueError("incompatible radicands")
-        return RadVal(self.q + other.q, self.s)
 
     def _cmp_key(self, other):
         if isinstance(other, RadVal):
@@ -374,63 +361,37 @@ class HPolyhedron:
 
 
 class VPolytope:
-    """Convex hull of rational points plus generator rays (all exact).
+    """Convex hull of rational points (all exact); ``hull`` keeps only the
+    vertices among the points."""
 
-    Rays are kept primitive and deduplicated; ``hull`` keeps only the
-    vertices among the points.
-    """
-
-    def __init__(self, n: int, vertices, rays=()):
+    def __init__(self, n: int, vertices):
         self.n = n
         self.vertices = tuple(sorted(set(tuple(Fraction(x) for x in v) for v in vertices)))
-        self.rays = tuple(sorted(set(linalg.primitive(r)[0] for r in rays)))
         self._cache: dict = {}
 
     def __repr__(self):
-        return f"VPolytope(n={self.n}, vertices={len(self.vertices)}, rays={len(self.rays)})"
+        return f"VPolytope(n={self.n}, vertices={len(self.vertices)})"
 
     def __eq__(self, other):
-        return (
-            isinstance(other, VPolytope)
-            and (self.n, self.vertices, self.rays) == (other.n, other.vertices, other.rays)
-        )
+        return isinstance(other, VPolytope) and (self.n, self.vertices) == (other.n, other.vertices)
 
     def __hash__(self):
-        return hash((self.n, self.vertices, self.rays))
+        return hash((self.n, self.vertices))
 
     @classmethod
-    def hull(cls, points, rays=()) -> "VPolytope":
-        """conv(points) + cone(rays); the recession cone must be pointed."""
+    def hull(cls, points) -> "VPolytope":
+        """conv(points), kept as its vertices."""
         pts = sorted(set(tuple(Fraction(x) for x in p) for p in points))
         if not pts:
             raise ValueError("at least one point required")
-        n = len(pts[0])
-        rays = sorted(set(linalg.primitive(r)[0] for r in rays if not linalg.is_zero_vec(r)))
-        # The vertices of conv(P) + cone(R) are the points of P that are vertices
-        # of conv(P u (P + R)): a functional with a unique minimum there at p is
-        # positive on every ray, so p is its unique minimum on the polyhedron.
-        cloud = set(pts).union(linalg.vadd(p, r) for p in pts for r in rays)
-        verts = set(pts).intersection(_hull_vertices(sorted(cloud)))
-        if not verts:
-            raise ValueError("the recession cone contains a line")
-        return cls(n, verts, rays)
-
-    def minkowski(self, other: "VPolytope") -> "VPolytope":
-        if self.n != other.n:
-            raise DimensionMismatch("ambient dimensions differ")
-        sums = [linalg.vadd(p, q) for p in self.vertices for q in other.vertices]
-        return VPolytope.hull(sums, self.rays + other.rays)
+        return cls(len(pts[0]), _hull_vertices(pts))
 
     def affine_dim(self) -> int:
         v0 = self.vertices[0]
-        rows = [list(linalg.vsub(v, v0)) for v in self.vertices[1:]]
-        rows += [list(r) for r in self.rays]
-        return linalg.rank(rows)
+        return linalg.rank([list(linalg.vsub(v, v0)) for v in self.vertices[1:]])
 
     def volume(self) -> RadVal:
         """Exact r-dimensional Euclidean volume, r = affine dimension."""
-        if self.rays:
-            raise UnboundedPolytopeError("volume of an unbounded polyhedron")
         if "volume" not in self._cache:
             self._cache["volume"] = self._lattice_volume()
         return self._cache["volume"]
@@ -457,7 +418,9 @@ class VPolytope:
 
 
 def minkowski_sum(a: VPolytope, b: VPolytope) -> VPolytope:
-    return a.minkowski(b)
+    if a.n != b.n:
+        raise DimensionMismatch("ambient dimensions differ")
+    return VPolytope.hull(linalg.vadd(p, q) for p in a.vertices for q in b.vertices)
 
 
 # ------------------------------------------------ integer placing triangulation

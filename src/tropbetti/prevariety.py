@@ -1,4 +1,4 @@
-"""Cells of a tropical prevariety, built two independent ways.
+"""Cells of a tropical prevariety, built by two routes over one arrangement.
 
 Route 1 (tie patterns): every face of the tie arrangement carries a
 constant argmin pattern; the faces whose pattern has at least two entries
@@ -17,7 +17,11 @@ extended Newton polytopes, with their canonical decomposition
 F = F_1 + ... + F_k.  Tropical faces (every summand of positive dimension)
 dualize to the closed cells G(F) of the prevariety, with
 dim F + dim G(F) = n.  The bottom faces are read off all arrangement
-faces (``Arrangement.faces``), covering or not.
+faces (``Arrangement.faces``), covering or not, with the same pattern
+reader as route 1.  So the routes share their witnesses: comparing them
+checks the merging into cells, the dual cells' own LP witnesses and the
+dimension count, but it is not an independent computation of the
+subdivision.
 """
 
 from __future__ import annotations
@@ -26,8 +30,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import linalg
-from .arrangement import ArrFace, Arrangement, build_arrangement
-from .exactgeom import EmptyPolyhedronError, HPolyhedron, VPolytope, minkowski_sum
+from .arrangement import ArrFace, Arrangement
+from .exactgeom import EmptyPolyhedronError, HPolyhedron
 from .tropical import TropSystem
 
 
@@ -44,12 +48,6 @@ class TiePattern:
     def row(self, i: int) -> frozenset[int]:
         return frozenset(j for ii, j in self.pairs if ii == i)
 
-    def rows(self, k: int) -> tuple[frozenset[int], ...]:
-        out: list[set[int]] = [set() for _ in range(k)]
-        for i, j in self.pairs:
-            out[i].add(j)
-        return tuple(frozenset(r) for r in out)
-
     def is_zero_pattern(self, k: int) -> bool:
         """At least two tied monomials in every row."""
         counts = [0] * k
@@ -62,11 +60,6 @@ class TiePattern:
 
     def __lt__(self, other: "TiePattern") -> bool:
         return set(self.pairs) < set(other.pairs)
-
-
-def tie_pattern(s: TropSystem, face: ArrFace) -> TiePattern:
-    """Argmin pattern on the face's relative interior (constant there)."""
-    return _pattern_reader(s, face.arrangement)(face.signs)
 
 
 def _pattern_reader(s: TropSystem, arr: Arrangement):
@@ -209,7 +202,7 @@ class PrevarietyComplex:
 
 def cells_via_arrangement(s: TropSystem) -> PrevarietyComplex:
     """Prevariety cells as merged tie-pattern classes of arrangement faces."""
-    arr = build_arrangement(s)
+    arr = s.arrangement
     read = _pattern_reader(s, arr)
     # a zero pattern needs a tie in every polynomial, and any tie of two
     # distinct monomials sits on a hyperplane sourced from that polynomial
@@ -223,16 +216,6 @@ def cells_via_arrangement(s: TropSystem) -> PrevarietyComplex:
         top = max(faces, key=lambda f: f.dim)
         cells.append(PrevarietyCell(s, b, top.dim, top.witness))
     return PrevarietyComplex(s, cells)
-
-
-def cell_closure(s: TropSystem, b: TiePattern) -> set[TiePattern]:
-    """Patterns of the proper faces of U_B (they partition its boundary)."""
-    arr = build_arrangement(s)
-    read = _pattern_reader(s, arr)
-    realized = {read(face.signs) for face in arr.faces()}
-    if b not in realized:
-        raise EmptyPolyhedronError("U_B is empty: pattern not realized")
-    return {b1 for b1 in realized if b < b1}
 
 
 class DualFace:
@@ -270,19 +253,12 @@ class DualFace:
 
     @property
     def tropical(self) -> bool:
-        return all(len(pts) >= 2 for pts in self.parts)
-
-    def total_polytope(self) -> VPolytope:
-        """F itself, as a Minkowski sum in lifted space (test-facing)."""
-        total = VPolytope.hull(self.parts[0])
-        for pts in self.parts[1:]:
-            total = minkowski_sum(total, VPolytope.hull(pts))
-        return total
+        return self.pattern.is_zero_pattern(self.system.k)
 
 
 def dual_subdivision(s: TropSystem) -> list[DualFace]:
     """All bottom faces of Q_1 + ... + Q_k, via arrangement witnesses."""
-    arr = build_arrangement(s)
+    arr = s.arrangement
     read = _pattern_reader(s, arr)
     seen: dict[TiePattern, DualFace] = {}
     for face in arr.faces():
@@ -317,7 +293,3 @@ def connected_components(c: PrevarietyComplex) -> list[list[PrevarietyCell]]:
     comps = [sorted(g, key=lambda cl: cl.pattern.pairs) for g in groups.values()]
     comps.sort(key=lambda g: g[0].pattern.pairs)
     return comps
-
-
-def face_count(c: PrevarietyComplex) -> int:
-    return len(c.cells)

@@ -16,8 +16,7 @@ from fractions import Fraction
 
 from . import linalg
 from .exactgeom import HPolyhedron
-from .prevariety import PrevarietyCell, PrevarietyComplex, cells_via_arrangement, connected_components
-from .tropical import TropSystem
+from .prevariety import PrevarietyCell, PrevarietyComplex, connected_components
 
 
 @dataclass(frozen=True)
@@ -75,25 +74,6 @@ class SimplicialComplex:
         return out
 
 
-class CellComplex:
-    """Finite polyhedral complex: cells plus their face partial order."""
-
-    def __init__(self, cells):
-        self.cells = tuple(cells)
-
-    def __len__(self):
-        return len(self.cells)
-
-    def face_pairs(self):
-        """(a, b) whenever cell b is a proper face of cell a."""
-        return [
-            (ia, ib)
-            for ia, ca in enumerate(self.cells)
-            for ib, cb in enumerate(self.cells)
-            if ca.pattern < cb.pattern
-        ]
-
-
 def reduce_lineality(component: list[PrevarietyCell]) -> tuple[int, list[PrevarietyCell]]:
     """Slice a connected component with T = (lineality space)-perp.
 
@@ -130,23 +110,26 @@ def reduce_lineality(component: list[PrevarietyCell]) -> tuple[int, list[Prevari
     return d, reduced
 
 
-def bounded_subcomplex(reduced: list[PrevarietyCell]) -> CellComplex:
+def bounded_subcomplex(reduced: list[PrevarietyCell]) -> list[PrevarietyCell]:
     """Subcomplex of bounded cells: a deformation retract of the input."""
     for cell in reduced:
         if cell.lineality_dim > 0:
             raise ValueError("cell contains a line; reduce lineality first")
-    return CellComplex([c for c in reduced if c.bounded])
+    return [c for c in reduced if c.bounded]
 
 
-def triangulate(c: CellComplex) -> SimplicialComplex:
-    """Order complex of the face poset: the barycentric subdivision."""
-    for cell in c.cells:
+def triangulate(cells: list[PrevarietyCell]) -> SimplicialComplex:
+    """Order complex of the face poset: the barycentric subdivision.
+
+    As in ``PrevarietyComplex.incidence``, a cell lies in the closure of
+    another exactly when its tie pattern is a proper superset.
+    """
+    for cell in cells:
         if not cell.bounded:
             raise ValueError("cannot triangulate an unbounded cell")
-    lt = {(a, b) for a, b in c.face_pairs()}
-    nverts = len(c.cells)
-
-    comparable = [[a == b or (a, b) in lt or (b, a) in lt for b in range(nverts)] for a in range(nverts)]
+    comparable = [
+        [a is b or a.pattern < b.pattern or b.pattern < a.pattern for b in cells] for a in cells
+    ]
     maximal: list[tuple[int, ...]] = []
 
     def extend(chain: list[int], candidates: list[int]):
@@ -158,7 +141,7 @@ def triangulate(c: CellComplex) -> SimplicialComplex:
         if not grew and chain:
             maximal.append(tuple(chain))
 
-    extend([], list(range(nverts)))
+    extend([], list(range(len(cells))))
     return SimplicialComplex.from_maximal(maximal)
 
 
@@ -184,10 +167,6 @@ def betti(sc: SimplicialComplex) -> BettiVector:
     return BettiVector.make(
         [len(by_dim.get(d, [])) - ranks.get(d, 0) - ranks.get(d + 1, 0) for d in range(top + 1)]
     )
-
-
-def betti_of_prevariety(s: TropSystem) -> BettiVector:
-    return betti_of_complex(cells_via_arrangement(s))
 
 
 def betti_of_complex(c: PrevarietyComplex) -> BettiVector:

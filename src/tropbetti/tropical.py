@@ -10,8 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
+from .arrangement import Arrangement, build_arrangement
 from .exactgeom import DimensionMismatch, VPolytope
 
 
@@ -67,21 +69,6 @@ class TropPoly:
     def m(self) -> int:
         return len(self.monomials)
 
-    def pretty(self, names=None) -> str:
-        names = names or [f"x{i+1}" for i in range(self.n)]
-        terms = []
-        for mon in self.monomials:
-            parts = []
-            for c, name in zip(mon.a, names):
-                if c == 1:
-                    parts.append(name)
-                elif c != 0:
-                    parts.append(f"{c}{name}")
-            if mon.b != 0 or not parts:
-                parts.append(str(mon.b))
-            terms.append(" + ".join(parts))
-        return "min(" + ", ".join(terms) + ")"
-
 
 class TropSystem:
     """Finite system of tropical polynomials in shared variables."""
@@ -108,6 +95,15 @@ class TropSystem:
 
     def __hash__(self):
         return hash((self.n, self.polys))
+
+    @cached_property
+    def arrangement(self) -> Arrangement:
+        """The tie arrangement, built once and freed with the system.
+
+        It caches its face lists, so every stage of one analysis (cells,
+        dual route, oracle) enumerates the faces at most once.
+        """
+        return build_arrangement(self)
 
 
 def eval_poly(f: TropPoly, x) -> tuple[Fraction, frozenset[int]]:
@@ -137,13 +133,6 @@ def is_system_zero(s: TropSystem, x) -> bool:
 
 def newton_polytope(f: TropPoly) -> VPolytope:
     return VPolytope.hull([mon.a for mon in f.monomials])
-
-
-def extended_newton_polytope(f: TropPoly) -> VPolytope:
-    """Hull of lifted points (a_j, b_j) plus the upward ray in x_{n+1}."""
-    lifted = [tuple(mon.a) + (mon.b,) for mon in f.monomials]
-    ray = tuple([0] * f.n + [1])
-    return VPolytope.hull(lifted, rays=[ray])
 
 
 def trop_mul(f: TropPoly, g: TropPoly) -> TropPoly:

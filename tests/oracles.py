@@ -10,8 +10,7 @@ Each oracle deliberately avoids the code path it is used to check:
 - ``convex_hull_2d`` / ``polygon_area`` are a monotone-chain hull and
   shoelace area, independent of the placing triangulation and Gram volumes.
 - ``hull_vertices_lp`` keeps the points that no exact LP writes as a convex
-  combination of the other points plus a cone combination of the rays; the
-  hull under test uses no LP.
+  combination of the other points; the hull under test uses no LP.
 - ``univariate_zeros`` finds breakpoints of a univariate min-envelope from
   pairwise tie candidates.
 - ``is_bounded_lp`` decides boundedness with one LP over the full
@@ -19,6 +18,9 @@ Each oracle deliberately avoids the code path it is used to check:
   equalities' kernel and distinct rows, and needs no LP up to dimension 1.
 - ``pattern_at`` evaluates every monomial at a point with ``eval_poly``;
   the cells and the dual route read patterns from sign vectors instead.
+- ``sign_vector`` evaluates every hyperplane at a point, and ``face_at``
+  picks the enumerated face with that sign vector; the enumeration under
+  test steps between faces and never evaluates at an arbitrary point.
 """
 
 from __future__ import annotations
@@ -111,19 +113,19 @@ def polygon_area(points) -> Fraction:
     return abs(twice) / 2
 
 
-def hull_vertices_lp(points, rays=()) -> list[tuple[Fraction, ...]]:
-    """Sorted vertices of conv(points) + cone(rays), one LP per point."""
+def hull_vertices_lp(points) -> list[tuple[Fraction, ...]]:
+    """Sorted vertices of conv(points), one LP per point."""
     pts = sorted({tuple(Fraction(x) for x in p) for p in points})
-    return [p for p in pts if not _in_hull_lp(p, [q for q in pts if q != p], rays)]
+    return [p for p in pts if not _in_hull_lp(p, [q for q in pts if q != p])]
 
 
-def _in_hull_lp(p, points, rays) -> bool:
-    """p in conv(points) + cone(rays)?"""
+def _in_hull_lp(p, points) -> bool:
+    """p in conv(points)?"""
     if not points:
         return False
-    m = len(points) + len(rays)
-    eqs = [([q[j] for q in points] + [Fraction(r[j]) for r in rays], p[j]) for j in range(len(p))]
-    eqs.append(([1] * len(points) + [0] * len(rays), 1))
+    m = len(points)
+    eqs = [([q[j] for q in points], p[j]) for j in range(len(p))]
+    eqs.append(([1] * m, 1))
     ineqs = [([int(i == j) for j in range(m)], 0) for i in range(m)]
     return solve_lp(m, eqs, ineqs).status is LPStatus.OPTIMAL
 
@@ -161,3 +163,16 @@ def is_bounded_lp(p) -> bool:
     res = solve_lp(p.n, eqs, ineqs, total, maximize=True)
     assert res.status is LPStatus.OPTIMAL
     return res.value == 0
+
+
+def sign_vector(arr, x) -> tuple[int, ...]:
+    """Sign of every hyperplane's value at x."""
+    values = [h.value(tuple(Fraction(c) for c in x)) for h in arr.hyperplanes]
+    return tuple((v > 0) - (v < 0) for v in values)
+
+
+def face_at(arr, x):
+    """The one enumerated face whose relative interior contains x."""
+    sv = sign_vector(arr, x)
+    [face] = [f for f in arr.faces() if f.signs == sv]
+    return face

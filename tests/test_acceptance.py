@@ -11,13 +11,12 @@ from fractions import Fraction
 
 import pytest
 
-from tropbetti.arrangement import build_arrangement
 from tropbetti.cli import check_system
 from tropbetti.corpus import complex_corpus, random_system, system_corpus
 from tropbetti.exactgeom import HPolyhedron
-from tropbetti.prevariety import cells_via_arrangement, connected_components, face_count
+from tropbetti.prevariety import cells_via_arrangement, connected_components
 from tropbetti.realize import ComplexDescription, complex_prevariety, gen_grid_example
-from tropbetti.topology import betti_of_prevariety, reduce_lineality
+from tropbetti.topology import betti_of_complex, reduce_lineality
 from tropbetti.tropical import LinForm, TropPoly, TropSystem, is_system_zero
 
 from oracles import sign_vectors_bruteforce
@@ -49,8 +48,8 @@ def test_criterion_1_grid_point_counts():
     for n, m, expected in [(2, 3, 9), (3, 2, 8)]:
         start = time.monotonic()
         s = gen_grid_example(n, m)
-        phi = face_count(cells_via_arrangement(s))
-        b = betti_of_prevariety(s).b
+        comp = cells_via_arrangement(s)
+        phi, b = len(comp.cells), betti_of_complex(comp).b
         elapsed = time.monotonic() - start
         results.append((n, m, phi, b, elapsed))
     ok = all(
@@ -119,7 +118,7 @@ def test_criterion_5_arrangement_oracle(corpus_reports):
     systems, _, _ = corpus_reports
     checked = failures = 0
     for s in systems:
-        arr = build_arrangement(s)
+        arr = s.arrangement  # its faces were enumerated by check_system
         if arr.ell > 6:
             continue
         checked += 1
@@ -150,6 +149,9 @@ def test_criterion_6_topology_oracles():
     def seg(n, eqs, ineqs):
         return HPolyhedron(n, eqs, ineqs)
 
+    def betti_of(s):
+        return betti_of_complex(cells_via_arrangement(s)).b
+
     square = ComplexDescription.make(
         2,
         [
@@ -159,18 +161,18 @@ def test_criterion_6_topology_oracles():
             seg(2, [((1, 0), 1)], [((0, 1), 0), ((0, -1), -1)]),
         ],
     )
-    results.append(("circle", betti_of_prevariety(complex_prevariety(square)).b, (1, 1)))
+    results.append(("circle", betti_of(complex_prevariety(square)), (1, 1)))
 
     segment = ComplexDescription.make(2, [seg(2, [((0, 1), 0)], [((1, 0), 0), ((-1, 0), -1)])])
-    results.append(("segment", betti_of_prevariety(complex_prevariety(segment)).b, (1,)))
+    results.append(("segment", betti_of(complex_prevariety(segment)), (1,)))
 
     points = ComplexDescription.make(1, [seg(1, [((1,), 0)], []), seg(1, [((1,), 5)], [])])
-    results.append(("two points", betti_of_prevariety(complex_prevariety(points)).b, (2,)))
+    results.append(("two points", betti_of(complex_prevariety(points)), (2,)))
 
     plane = TropSystem(3, [poly(((0, 0, 0), 0), ((1, 0, 0), 0))])
     [component] = connected_components(cells_via_arrangement(plane))
     d, _ = reduce_lineality(component)
-    results.append(("plane betti", betti_of_prevariety(plane).b, (1,)))
+    results.append(("plane betti", betti_of(plane), (1,)))
     results.append(("plane lineality", (d,), (2,)))
 
     ok = all(got == want for _, got, want in results)
@@ -183,7 +185,8 @@ def test_criterion_7_invariance_suite():
     count = 50
     for _ in range(count):
         s = random_system(rng, max_k=2, max_m=3)
-        base = (face_count(cells_via_arrangement(s)), betti_of_prevariety(s).b)
+        comp = cells_via_arrangement(s)
+        base = (len(comp.cells), betti_of_complex(comp).b)
         variants = []
         variants.append(TropSystem(s.n, list(s.polys) + [s.polys[0]]))
         shifted = TropPoly([LinForm.make(m.a, m.b + 3) for m in s.polys[0].monomials])
@@ -200,7 +203,8 @@ def test_criterion_7_invariance_suite():
             )
         )
         for v in variants:
-            got = (face_count(cells_via_arrangement(v)), betti_of_prevariety(v).b)
+            comp = cells_via_arrangement(v)
+            got = (len(comp.cells), betti_of_complex(comp).b)
             if got != base:
                 failures += 1
     _verdict(7, failures == 0, f"{count} systems x 3 transformations, {failures} changes")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -9,15 +10,18 @@ import pytest
 
 from tropbetti.cli import (
     InputError,
+    check_system,
     main,
     parse_complex,
     parse_system,
     serialize_system,
 )
-from tropbetti import exactgeom
+from tropbetti import arrangement, exactgeom
 from tropbetti.corpus import random_system, system_corpus
 from tropbetti.linprog import LPResult, LPStatus
 from tropbetti.tropical import LinForm, TropPoly, TropSystem
+
+from cli_digests import CHECK_CORPUS, CORPUS_COUNT, CORPUS_SEED, DIGESTS
 
 LINE_DOC = '{"n":2,"polys":[[[[1,0],"0"],[[0,1],"0"],[[0,0],"0"]]]}'
 
@@ -228,3 +232,44 @@ def test_emit_off(tmp_path, capsys, monkeypatch):
     assert code == 0
     text = path.read_text()
     assert text.startswith("OFF\n")
+
+
+def test_check_enumerates_faces_once_per_system(monkeypatch):
+    """The dual route, the cells and the oracle share the system's face list."""
+    calls = []
+    enumerate_faces = arrangement.enumerate_faces
+
+    def counted(arr, covering=False):
+        calls.append(covering)
+        return enumerate_faces(arr, covering)
+
+    monkeypatch.setattr(arrangement, "enumerate_faces", counted)
+    line = parse_system(LINE_DOC.encode())
+    for s in [line] + system_corpus(CORPUS_SEED, 10):
+        calls.clear()
+        assert check_system(s, oracle=True)["oracle_ok"] is not False
+        assert len(calls) == 1
+
+
+def test_cli_stdout_matches_pinned_digests(tmp_path, capsys):
+    """Every command's stdout on the 100-system corpus is byte-identical."""
+    corpus = tmp_path / "corpus"
+    argv = ["gen", "corpus", "--seed", str(CORPUS_SEED), "--count", str(CORPUS_COUNT)]
+    assert main(argv + ["--dir", str(corpus)]) == 0
+    capsys.readouterr()
+    paths = sorted(corpus.glob("*.json"))
+    assert len(paths) == CORPUS_COUNT
+
+    def digest() -> str:
+        return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+    changed = []
+    for command, want in DIGESTS.items():
+        for path, pinned in zip(paths, want):
+            assert main([command, str(path)]) == 0
+            if digest() != pinned:
+                changed.append(f"{command} {path.name}")
+    assert main(["check", "--corpus", str(corpus)]) == 0
+    if digest() != CHECK_CORPUS:
+        changed.append("check --corpus")
+    assert changed == []

@@ -1,6 +1,6 @@
 import ast
-import inspect
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -38,7 +38,6 @@ def test_radval_basics():
     assert (v.q, v.s) == (2, 2)
     assert v.sq() == 8
     assert v == RadVal.from_sqrt(2, 2)
-    assert RadVal(Fraction(0), 1) + v == v
     assert v.scaled(3) == RadVal.from_sqrt(6, 2)
 
 
@@ -48,11 +47,6 @@ def test_radval_comparisons_with_rationals():
     assert RadVal(Fraction(3)) == 3
     with pytest.raises(ValueError):
         _ = v < -1
-
-
-def test_radval_incompatible_addition():
-    with pytest.raises(ValueError):
-        RadVal.from_sqrt(1, 2) + RadVal.from_sqrt(1, 3)
 
 
 # ------------------------------------------------------------- feasibility
@@ -150,16 +144,6 @@ dims = st.integers(min_value=1, max_value=4)
 def test_hull_matches_lp_oracle(n, data):
     pts = data.draw(point_sets(n))
     assert list(VPolytope.hull(pts).vertices) == hull_vertices_lp(pts)
-
-
-@given(dims, st.data())
-@settings(deadline=None, max_examples=60)
-def test_hull_with_rays_matches_lp_oracle(n, data):
-    pts = data.draw(point_sets(n))
-    vec = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
-    rays = [r for r in data.draw(st.lists(vec, min_size=1, max_size=3)) if sum(r) > 0]
-    p = VPolytope.hull(pts, rays)  # every ray is positive on (1, ..., 1): a pointed cone
-    assert list(p.vertices) == hull_vertices_lp(pts, rays)
 
 
 @given(dims, st.data())
@@ -309,6 +293,13 @@ def test_is_bounded_matches_lp_oracle(n, data):
 
 
 def test_exactgeom_has_no_assert():
-    tree = ast.parse(inspect.getsource(exactgeom))
-    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)] == []
+    """No module of the package (exactgeom included) uses ``assert``.
+
+    ``python -O`` strips asserts; invariants raise ``InvariantError``.
+    """
+    found = []
+    for path in sorted(Path(exactgeom.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [(path.name, node.lineno) for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
 

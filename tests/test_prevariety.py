@@ -5,26 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropbetti.arrangement import build_arrangement, enumerate_faces
-from tropbetti.arrangement import face_count as arr_face_count
+from tropbetti.arrangement import enumerate_faces
 from tropbetti.corpus import random_system, system_corpus
-from tropbetti.exactgeom import EmptyPolyhedronError, HPolyhedron
+from tropbetti.exactgeom import EmptyPolyhedronError, HPolyhedron, VPolytope, minkowski_sum
 from tropbetti.prevariety import (
     TiePattern,
     _pattern_reader,
-    cell_closure,
     cells_via_arrangement,
     connected_components,
     dual_cell,
     dual_subdivision,
-    face_count,
-    tie_pattern,
     tropical_faces,
 )
 from tropbetti.realize import ComplexDescription, complex_prevariety, gen_grid_example
 from tropbetti.tropical import LinForm, TropPoly, TropSystem, is_system_zero
 
-from oracles import pattern_at
+from oracles import face_at, pattern_at
 from strategies import small_systems
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -38,13 +34,26 @@ def poly(*mons):
 LINE = TropSystem(2, [poly(((0, 0), 0), ((0, 1), 0), ((1, 0), 0))])
 
 
+def tie_pattern(s, face) -> TiePattern:
+    """Argmin pattern on the face's relative interior, read from its signs."""
+    return _pattern_reader(s, s.arrangement)(face.signs)
+
+
+def cell_closure(s, b: TiePattern) -> set[TiePattern]:
+    """Patterns of the proper faces of U_B (they partition its boundary)."""
+    realized = {tie_pattern(s, face) for face in s.arrangement.faces()}
+    if b not in realized:
+        raise EmptyPolyhedronError("U_B is empty: pattern not realized")
+    return {b1 for b1 in realized if b < b1}
+
+
 def test_tie_pattern_examples():
-    arr = build_arrangement(LINE)
-    origin = arr.face_at((0, 0))
+    arr = LINE.arrangement
+    origin = face_at(arr, (0, 0))
     assert tie_pattern(LINE, origin).pairs == ((0, 0), (0, 1), (0, 2))
-    ray = arr.face_at((-1, -1))
+    ray = face_at(arr, (-1, -1))
     assert tie_pattern(LINE, ray).pairs == ((0, 1), (0, 2))
-    sector = arr.face_at((1, 1))
+    sector = face_at(arr, (1, 1))
     assert tie_pattern(LINE, sector).pairs == ((0, 0),)
 
 
@@ -56,7 +65,7 @@ def test_tie_pattern_zero_predicate():
 
 def test_cells_tropical_line():
     comp = cells_via_arrangement(LINE)
-    assert face_count(comp) == 4
+    assert len(comp.cells) == 4
     dims = sorted(c.dim for c in comp.cells)
     assert dims == [0, 1, 1, 1]
     assert len(connected_components(comp)) == 1
@@ -64,20 +73,20 @@ def test_cells_tropical_line():
 
 def test_cells_single_monomial_empty():
     comp = cells_via_arrangement(TropSystem(2, [poly(((0, 0), 5))]))
-    assert face_count(comp) == 0
+    assert len(comp.cells) == 0
     assert connected_components(comp) == []
 
 
 def test_cells_grid_2x2():
     comp = cells_via_arrangement(gen_grid_example(2, 2))
-    assert face_count(comp) == 4
+    assert len(comp.cells) == 4
     assert all(c.dim == 0 for c in comp.cells)
     assert len(connected_components(comp)) == 4
 
 
 def test_components_univariate_two_zeros():
     comp = cells_via_arrangement(gen_grid_example(1, 2))
-    assert face_count(comp) == 2
+    assert len(comp.cells) == 2
     assert len(connected_components(comp)) == 2
 
 
@@ -86,9 +95,8 @@ def test_pattern_merge_shared_by_several_faces():
     # spans several arrangement faces (split by the tie of the two
     # non-minimal monomials), but it is a single convex prevariety cell
     s = TropSystem(2, [poly(((0, 0), 0), ((0, 1), 10), ((0, 2), 9), ((1, 0), 0))])
-    arr = build_arrangement(s)
     b = TiePattern.make([(0, 0), (0, 3)])
-    carriers = [f for f in arr.faces() if tie_pattern(s, f) == b]
+    carriers = [f for f in s.arrangement.faces() if tie_pattern(s, f) == b]
     assert len(carriers) >= 2
     comp = cells_via_arrangement(s)
     matches = [c for c in comp.cells if c.pattern == b]
@@ -102,8 +110,9 @@ def test_cell_closure_examples():
     assert cell_closure(LINE, ray) == {TiePattern.make([(0, 0), (0, 1), (0, 2)])}
     origin = TiePattern.make([(0, 0), (0, 1), (0, 2)])
     assert cell_closure(LINE, origin) == set()
-    for cell in cells_via_arrangement(gen_grid_example(1, 2)).cells:
-        assert cell_closure(gen_grid_example(1, 2), cell.pattern) == set()
+    grid = gen_grid_example(1, 2)
+    for cell in cells_via_arrangement(grid).cells:
+        assert cell_closure(grid, cell.pattern) == set()
 
 
 def test_cell_closure_unrealized_pattern_raises():
@@ -159,7 +168,10 @@ def test_dual_cell_requires_tropical():
 def test_dual_total_polytope_decomposition():
     trop = tropical_faces(dual_subdivision(LINE))
     for f in trop:
-        total = f.total_polytope()
+        # F = F_1 + ... + F_k in lifted space
+        total = VPolytope.hull(f.parts[0])
+        for pts in f.parts[1:]:
+            total = minkowski_sum(total, VPolytope.hull(pts))
         assert total.affine_dim() == f.dim
 
 
@@ -203,7 +215,7 @@ def test_phi_v_at_most_phi_a():
     rng = random.Random(23)
     for _ in range(8):
         s = random_system(rng, max_k=2, max_m=3)
-        assert face_count(cells_via_arrangement(s)) <= arr_face_count(build_arrangement(s))
+        assert len(cells_via_arrangement(s).cells) <= len(s.arrangement.faces())
 
 
 def test_duplicate_polynomial_leaves_cells_unchanged():
@@ -232,7 +244,7 @@ def test_closure_lattice_intersection_property():
 
 
 def assert_sign_patterns_match_evaluation(s, faces):
-    read = _pattern_reader(s, build_arrangement(s))
+    read = _pattern_reader(s, s.arrangement)
     for face in faces:
         b = pattern_at(s, face.witness)
         assert read(face.signs) == b
@@ -241,13 +253,13 @@ def assert_sign_patterns_match_evaluation(s, faces):
 
 def test_sign_patterns_on_corpus():
     for s in system_corpus(20260823, 40):
-        assert_sign_patterns_match_evaluation(s, build_arrangement(s).faces())
+        assert_sign_patterns_match_evaluation(s, s.arrangement.faces())
 
 
 @given(small_systems())
 @settings(deadline=None, max_examples=80)
 def test_sign_patterns_random(s):
-    assert_sign_patterns_match_evaluation(s, build_arrangement(s).faces())
+    assert_sign_patterns_match_evaluation(s, s.arrangement.faces())
 
 
 def test_square_covering_faces_and_patterns():
@@ -267,7 +279,7 @@ def test_square_covering_faces_and_patterns():
             ],
         )
     )
-    arr = build_arrangement(s)
+    arr = s.arrangement
     full = enumerate_faces(arr)
     keys = [(f.signs, f.dim, f.witness) for f in full if arr.covers(f.zero_set)]
     covering = enumerate_faces(arr, covering=True)

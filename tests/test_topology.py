@@ -5,14 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropbetti.corpus import random_system
-from tropbetti.prevariety import cells_via_arrangement, connected_components, face_count
+from tropbetti.prevariety import cells_via_arrangement, connected_components
 from tropbetti.realize import gen_grid_example
 from tropbetti.topology import (
     BettiVector,
     SimplicialComplex,
     betti,
     betti_of_complex,
-    betti_of_prevariety,
     bounded_subcomplex,
     reduce_lineality,
     triangulate,
@@ -99,7 +98,7 @@ def test_bounded_subcomplex_tropical_line():
     [component] = connected_components(cells_via_arrangement(LINE))
     retract = bounded_subcomplex(component)
     assert len(retract) == 1
-    assert retract.cells[0].dim == 0
+    assert retract[0].dim == 0
 
 
 def test_bounded_subcomplex_rejects_lines():
@@ -121,12 +120,12 @@ def test_triangulate_single_point_and_grid():
 
 
 def test_betti_of_prevariety_examples():
-    assert betti_of_prevariety(LINE).b == (1,)
-    assert betti_of_prevariety(gen_grid_example(2, 3)).b == (9,)
+    assert betti_of_complex(cells_via_arrangement(LINE)).b == (1,)
+    assert betti_of_complex(cells_via_arrangement(gen_grid_example(2, 3))).b == (9,)
     empty = TropSystem(2, [poly(((0, 0), 5))])
-    assert betti_of_prevariety(empty).b == ()
+    assert betti_of_complex(cells_via_arrangement(empty)).b == ()
     plane = TropSystem(3, [poly(((0, 0, 0), 0), ((1, 0, 0), 0))])
-    assert betti_of_prevariety(plane).b == (1,)
+    assert betti_of_complex(cells_via_arrangement(plane)).b == (1,)
 
 
 def test_morse_inequality_and_euler_consistency():
@@ -135,12 +134,12 @@ def test_morse_inequality_and_euler_consistency():
         s = random_system(rng, max_k=2, max_m=3)
         comp = cells_via_arrangement(s)
         total = betti_of_complex(comp)
-        assert total.total <= face_count(comp)
+        assert total.total <= len(comp.cells)
         for component in connected_components(comp):
             _, reduced = reduce_lineality(component)
             retract = bounded_subcomplex(reduced)
             b = betti(triangulate(retract))
-            euler_cells = sum((-1) ** c.dim for c in retract.cells)
+            euler_cells = sum((-1) ** c.dim for c in retract)
             euler_betti = sum((-1) ** i * v for i, v in enumerate(b.b))
             assert euler_cells == euler_betti
 
@@ -149,14 +148,14 @@ def test_invariance_under_duplicate_shift_and_permutation():
     rng = random.Random(43)
     for _ in range(5):
         s = random_system(rng, max_k=2, max_m=3)
-        base = betti_of_prevariety(s)
+        base = betti_of_complex(cells_via_arrangement(s))
         doubled = TropSystem(s.n, list(s.polys) + [s.polys[0]])
-        assert betti_of_prevariety(doubled) == base
+        assert betti_of_complex(cells_via_arrangement(doubled)) == base
         shifted_poly = TropPoly(
             [LinForm.make(m.a, m.b + 3) for m in s.polys[0].monomials]
         )
         shifted = TropSystem(s.n, [shifted_poly] + list(s.polys[1:]))
-        assert betti_of_prevariety(shifted) == base
+        assert betti_of_complex(cells_via_arrangement(shifted)) == base
         perm = list(range(s.n))
         rng.shuffle(perm)
         permuted = TropSystem(
@@ -166,4 +165,4 @@ def test_invariance_under_duplicate_shift_and_permutation():
                 for f in s.polys
             ],
         )
-        assert betti_of_prevariety(permuted) == base
+        assert betti_of_complex(cells_via_arrangement(permuted)) == base

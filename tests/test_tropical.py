@@ -13,7 +13,6 @@ from tropbetti.tropical import (
     degree,
     drop_dominated,
     eval_poly,
-    extended_newton_polytope,
     is_zero,
     make_coeffs_nonneg,
     newton_polytope,
@@ -94,16 +93,6 @@ def test_newton_polytope_examples():
     seg = newton_polytope(poly(((2,), 0), ((1,), 1), ((0,), 3)))
     assert set(seg.vertices) == {(0,), (2,)}
     assert newton_polytope(poly(((0,), 5))).vertices == ((0,),)
-
-
-def test_extended_newton_polytope_examples():
-    q = extended_newton_polytope(poly(((1,), 0), ((0,), 0)))
-    assert set(q.vertices) == {(1, 0), (0, 0)}
-    assert q.rays == ((0, 1),)
-    q2 = extended_newton_polytope(poly(((2,), 0), ((1,), 1), ((0,), 3)))
-    assert set(q2.vertices) == {(2, 0), (1, 1), (0, 3)}  # all on the lower hull
-    q3 = extended_newton_polytope(poly(((0,), 0), ((0,), 1)))
-    assert set(q3.vertices) == {(0, 0)}
 
 
 def test_trop_mul_examples():
