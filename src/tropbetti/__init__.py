@@ -1,10 +1,11 @@
 """Exact-arithmetic toolkit for tropical prevarieties.
 
 Builds the polyhedral cell complex of a min-plus polynomial system from
-its tie arrangement (tie-pattern faces, cross-checked against dual cells
-read off the same arrangement's faces), computes exact Betti numbers,
-verifies volume/degree/sparse face bounds, and realizes rational
-polyhedral complexes as prevarieties.
+its tie arrangement (tie-pattern faces, cross-checked against the cells
+dual to the lower faces of the lifted Newton sum, which are computed
+without the arrangement), computes exact Betti numbers, verifies
+volume/degree/sparse face bounds, and realizes rational polyhedral
+complexes as prevarieties.
 """
 
 from .arrangement import Arrangement, ArrFace, Hyperplane, build_arrangement, enumerate_faces
@@ -24,6 +25,7 @@ from .exactgeom import (
     InvariantError,
     RadVal,
     VPolytope,
+    lower_faces,
     minkowski_sum,
 )
 from .prevariety import (

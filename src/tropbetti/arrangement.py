@@ -20,9 +20,9 @@ faces on covering flats can carry prevariety cells.  A subflat only gains
 definers, so covering flats are closed under descent, and the stepping
 above run over the covering flats alone finds exactly the covering faces
 (the facets it steps off lie on covering subflats).  ``faces()`` walks
-every flat, as the dual route and the sign-vector oracle need;
-``covering_faces()`` walks only the covering ones, as the cells need,
-or filters ``faces()`` when that list is already there.
+every flat, as the sign-vector oracle needs; ``covering_faces()`` walks
+only the covering ones, as the cells need, or filters ``faces()`` when
+that list is already there.
 
 An arrangement caches its face lists, and each system owns its
 arrangement (``TropSystem.arrangement``), so the lists live exactly as

@@ -196,9 +196,13 @@ def _bound_report_json(r: BoundReport) -> dict:
 # ---------------------------------------------------------------- checks
 
 
-def _oracle_sign_vectors(arr) -> set[tuple[int, ...]]:
-    """Exhaustive 3^ell sign-vector feasibility enumeration."""
-    out = set()
+def sign_vectors_bruteforce(arr) -> dict[tuple[int, ...], tuple[Fraction, ...]]:
+    """Feasible sign vectors of an arrangement, with relint witnesses.
+
+    All 3^ell candidates are decided by exact LP; the face enumeration it
+    checks uses no LP at all.
+    """
+    out = {}
     for sv in itertools.product((-1, 0, 1), repeat=arr.ell):
         eqs, stricts = [], []
         for h, s in zip(arr.hyperplanes, sv):
@@ -206,14 +210,21 @@ def _oracle_sign_vectors(arr) -> set[tuple[int, ...]]:
                 eqs.append((h.normal, h.offset))
             else:
                 stricts.append((tuple(s * c for c in h.normal), s * h.offset))
-        if relint_witness(arr.n, eqs, stricts) is not None:
-            out.add(sv)
+        w = relint_witness(arr.n, eqs, stricts)
+        if w is not None:
+            out[sv] = w
     return out
 
 
 def check_system(s: TropSystem, oracle: bool = False) -> dict:
-    # The dual route enumerates every face of s.arrangement; the cells and
-    # the oracle then reuse that list instead of walking the flats again.
+    # The two routes share no computation: the dual cells come from the
+    # lower hull of the lifted Newton sum, the cells from the covering
+    # faces of the tie arrangement.  The oracle needs every face; walked
+    # first, that list is filtered for the cells instead of a second walk.
+    arr = s.arrangement
+    run_oracle = oracle and arr.ell <= 6
+    if run_oracle:
+        arr.faces()
     trop = tropical_faces(dual_subdivision(s))
     duals = [dual_cell(s, f) for f in trop]
     comp = cells_via_arrangement(s)
@@ -221,25 +232,22 @@ def check_system(s: TropSystem, oracle: bool = False) -> dict:
     report = _bound_report_json(bound_report(s, comp, betti))
     report["betti"] = list(betti.b)
 
-    by_pattern = {c.pattern: c for c in comp.cells}
-    cross_ok = by_pattern.keys() == {c.pattern for c in duals} and all(
-        by_pattern[d.pattern].closure.canonical() == d.closure.canonical() for d in duals
+    cross_ok = sorted((c.pattern.pairs, c.dim) for c in comp.cells) == sorted(
+        (d.pattern.pairs, d.dim) for d in duals
     )
     duality_ok = all(f.dim + g.dim == s.n for f, g in zip(trop, duals))
     report["cross_method_ok"] = cross_ok
     report["duality_ok"] = duality_ok
 
     oracle_ok = None
-    if oracle:
-        arr = s.arrangement
-        if arr.ell <= 6:
-            got = {f.signs for f in arr.faces()}
-            oracle_ok = got == _oracle_sign_vectors(arr)
-            # The n 2^n C(ell, n) bound applies to the faces carrying ties
-            # (those on the hyperplane union); regions carry no zeros.
-            proper = sum(1 for sv in got if 0 in sv)
-            if arr.ell >= arr.n:
-                oracle_ok = oracle_ok and proper <= arr.n * 2**arr.n * math.comb(arr.ell, arr.n)
+    if run_oracle:
+        got = {f.signs for f in arr.faces()}
+        oracle_ok = got == sign_vectors_bruteforce(arr).keys()
+        # The n 2^n C(ell, n) bound applies to the faces carrying ties
+        # (those on the hyperplane union); regions carry no zeros.
+        proper = sum(1 for sv in got if 0 in sv)
+        if arr.ell >= arr.n:
+            oracle_ok = oracle_ok and proper <= arr.n * 2**arr.n * math.comb(arr.ell, arr.n)
     report["oracle_ok"] = oracle_ok
     report["all_ok"] = bool(
         report["all_ok"] and cross_ok and duality_ok and oracle_ok is not False

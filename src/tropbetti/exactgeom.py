@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -431,7 +432,19 @@ def _idot(a, b) -> int:
 
 
 def _idet(rows) -> int:
-    """Determinant of a square integer matrix (fraction-free Bareiss)."""
+    """Determinant of a square integer matrix (fraction-free Bareiss).
+
+    Up to 3 x 3, the sizes of facet cofactors in up to four dimensions, it
+    is expanded directly.
+    """
+    if len(rows) <= 3:
+        if len(rows) < 2:
+            return rows[0][0] if rows else 1
+        if len(rows) == 2:
+            (a, b), (c, d) = rows
+            return a * d - b * c
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     m = [list(row) for row in rows]
     sign, prev = 1, 1
     for k in range(len(m) - 1):
@@ -468,22 +481,26 @@ def _clear_denominators(pts):
 
 
 def _place(points):
-    """Beneath-beyond placing triangulation of integer points spanning Z^r.
+    """Beneath-beyond placing triangulation of distinct integer points spanning Z^r.
 
-    In lexicographic order, the first affinely independent points seed a
-    simplex; each further point is coned to the boundary simplices it lies
-    strictly beyond.  A boundary simplex keeps its unreduced cofactor normal,
-    so |det| of a cone is the point's distance below the simplex's offset.
-    Returns the hull's facets, as sorted primitive (normal, offset) with
-    <normal, x> >= offset on it, and the sum of |det|, r! times the volume.
+    The first affinely independent points, in the given order, seed a
+    simplex; each further point, in a fixed pseudo-random order, is coned to
+    the boundary simplices it lies strictly beyond.  (In sorted order every
+    new point would be extreme, the worst case for the cone step.)  A
+    boundary simplex keeps its unreduced cofactor normal, so |det| of a cone
+    is the point's distance below the simplex's offset.  Returns the hull's
+    facets, as sorted primitive (normal, offset) with <normal, x> >= offset
+    on it, and the sum of |det|, r! times the volume; neither depends on the
+    order of the points.
     """
-    pts = sorted(points)
+    pts = list(points)
     r = len(pts[0])
     o, seed = pts[0], [pts[0]]
     for p in pts[1:]:
         if len(seed) <= r and len(_echelon(linalg.vsub(q, o) for q in seed[1:] + [p])) == len(seed):
             seed.append(p)
     rest = [p for p in pts if p not in seed]
+    random.Random(0).shuffle(rest)
     if len(seed) != r + 1:
         raise InvariantError("placing triangulation", f"points span {len(seed) - 1} of {r} dimensions")
     centre = [sum(c) for c in zip(*seed)]  # r + 1 times an interior point of every hull below
@@ -499,7 +516,7 @@ def _place(points):
             normal, offset = tuple(-x for x in normal), -offset
         return verts, normal, offset
 
-    boundary = [facet(tuple(seed[:i] + seed[i + 1 :])) for i in range(r + 1)]
+    boundary = [facet(tuple(sorted(seed[:i] + seed[i + 1 :]))) for i in range(r + 1)]
     total = abs(_idet([linalg.vsub(v, seed[0]) for v in seed[1:]]))
     for p in rest:
         visible, kept = [], []
@@ -535,3 +552,109 @@ def _hull_vertices(pts) -> list:
     facets, _ = _place(proj)
     tight = [[a for a, b in facets if _idot(a, q) == b] for q in proj]
     return [p for p, t in zip(pts, tight) if len(_echelon(t)) == len(cols)]
+
+
+# ------------------------------------------- lower faces of lifted Minkowski sums
+
+
+def _lifted_hull(points):
+    """Facets of conv(P ∪ (P + e)), P the lowest of the points over each a.
+
+    The points are integer (a, b), b the lift, and e is the unit lift; a
+    point above another lies between it and its raised copy.  Returns
+    (P, cols, facets): the hull is taken in the pivot columns ``cols`` of
+    the point differences, which hold the last one as e is a difference,
+    and ``facets`` lists (tight, normal) for each facet through a point of
+    P, with bit i of ``tight`` set when the facet holds P[i] and bit
+    len(P) + i when it holds P[i] + e.
+    """
+    lowest: dict[tuple, int] = {}
+    for p in points:
+        a, b = p[:-1], p[-1]
+        if a not in lowest or b < lowest[a]:
+            lowest[a] = b
+    low = sorted(a + (b,) for a, b in lowest.items())
+    pts = low + [p[:-1] + (p[-1] + 1,) for p in low]
+    cols = sorted(piv for piv, _ in _echelon(linalg.vsub(q, pts[0]) for q in pts[1:]))
+    proj = [tuple(q[c] for c in cols) for q in pts]
+    bottom = (1 << len(low)) - 1
+    facets = []
+    for normal, offset in _place(proj)[0]:
+        tight = sum(1 << i for i, q in enumerate(proj) if _idot(normal, q) == offset)
+        if tight & bottom:
+            facets.append((tight, normal))
+    return low, cols, facets
+
+
+def _lower_vertices(points) -> list:
+    """The lower vertices of conv(points), integer points (a, b) with b the lift.
+
+    They are the points of P that are vertices of conv(P ∪ (P + e)), the
+    points whose facets have normals of full rank.
+    """
+    low, cols, facets = _lifted_hull(points)
+    return [
+        p for i, p in enumerate(low) if len(_echelon(normal for tight, normal in facets if tight >> i & 1)) == len(cols)
+    ]
+
+
+def lower_faces(point_sets) -> list:
+    """Lower faces of the Minkowski sum of lifted point sets, with witnesses.
+
+    Each set holds points (a, b) in Q^r x Q, b the lift.  A face of the sum
+    is lower when some functional (x, 1) attains its minimum over the sum
+    exactly on it.  Returns, per lower face, (x, argmins): such an x, and
+    per set the positions of its points on which (x, 1) is minimal (the
+    summands of the face).
+
+    The lower vertices of a sum are sums of lower vertices, so each set and
+    the running sum after each set are pruned to their lower vertices V.
+    The faces of conv(V ∪ (V + e)) that hold no raised point are then the
+    lower faces of the sum; they are the intersections of its facets, read
+    as sets of tight points.  The facets through a lower face have normals
+    with last entry >= 0, and as the face misses its raised copy at least
+    one is > 0, so their sum (w, t) has t > 0 and x = w / t selects exactly
+    that face.
+    """
+    sets = [[tuple(Fraction(c) for c in p) for p in pts] for pts in point_sets]
+    flat, _ = _clear_denominators([p for pts in sets for p in pts])
+    ints, start = [], 0
+    for pts in sets:
+        ints.append(flat[start : start + len(pts)])
+        start += len(pts)
+    r = len(flat[0]) - 1
+    lows = [_lower_vertices(pts) for pts in ints]
+    verts = lows[0]
+    for summand in lows[1:]:
+        verts = _lower_vertices(linalg.vadd(v, q) for v in verts for q in summand)
+    verts, cols, facets = _lifted_hull(verts)
+
+    bottom = (1 << len(verts)) - 1
+    faces, stack = set(), [t for t, _ in facets]
+    while stack:
+        face = stack.pop()
+        if face in faces:
+            continue
+        faces.add(face)
+        for tight, _ in facets:
+            sub = face & tight
+            if sub & bottom and sub not in faces:
+                stack.append(sub)
+
+    out = []
+    for face in sorted(faces):
+        if face & ~bottom:
+            continue
+        total = [sum(col) for col in zip(*(normal for tight, normal in facets if tight & face == face))]
+        w = [0] * (r + 1)
+        for c, v in zip(cols, total):
+            w[c] = v
+        if w[r] <= 0:
+            raise InvariantError("lower_faces", f"summed facet normal {w} of a lower face is not lifted")
+        argmins = []
+        for pts in ints:
+            values = [_idot(w, p) for p in pts]
+            least = min(values)
+            argmins.append(frozenset(j for j, v in enumerate(values) if v == least))
+        out.append((tuple(Fraction(v, w[r]) for v in w[:r]), tuple(argmins)))
+    return out

@@ -1,4 +1,4 @@
-"""Cells of a tropical prevariety, built by two routes over one arrangement.
+"""Cells of a tropical prevariety, built by two independent routes.
 
 Route 1 (tie patterns): every face of the tie arrangement carries a
 constant argmin pattern; the faces whose pattern has at least two entries
@@ -12,16 +12,14 @@ monomials j1 < j2 of one polynomial, sign(m_j1 - m_j2) is the sign of the
 pair's tie hyperplane times a fixed orientation, and a pair with equal
 exponents compares its constants.
 
-Route 2 (dual subdivision): the bottom faces of the Minkowski sum of the
-extended Newton polytopes, with their canonical decomposition
-F = F_1 + ... + F_k.  Tropical faces (every summand of positive dimension)
-dualize to the closed cells G(F) of the prevariety, with
-dim F + dim G(F) = n.  The bottom faces are read off all arrangement
-faces (``Arrangement.faces``), covering or not, with the same pattern
-reader as route 1.  So the routes share their witnesses: comparing them
-checks the merging into cells, the dual cells' own LP witnesses and the
-dimension count, but it is not an independent computation of the
-subdivision.
+Route 2 (dual subdivision): the lower faces of Q_1 + ... + Q_k, the sum of
+the lifted point sets {(a_j, b_j)}, with their decomposition
+F = F_1 + ... + F_k, from the integer lower hull (``exactgeom.lower_faces``);
+no arrangement and no LP.  Each lower face comes with a witness x at which
+(x, 1) selects it, so its pattern is the argmin pattern at x.  Tropical
+faces (a tie in every polynomial) dualize to the closed cells G(F) of the
+prevariety, with dim F + dim G(F) = n; ``dual_cell`` checks by exact
+evaluation that the witness has exactly F's pattern.
 """
 
 from __future__ import annotations
@@ -31,8 +29,8 @@ from functools import cached_property
 
 from . import linalg
 from .arrangement import ArrFace, Arrangement
-from .exactgeom import EmptyPolyhedronError, HPolyhedron
-from .tropical import TropSystem
+from .exactgeom import HPolyhedron, InvariantError, lower_faces
+from .tropical import TropSystem, eval_poly
 
 
 @dataclass(frozen=True)
@@ -219,15 +217,16 @@ def cells_via_arrangement(s: TropSystem) -> PrevarietyComplex:
 
 
 class DualFace:
-    """Bottom face F = F_1 + ... + F_k of the summed extended polytopes.
+    """Lower face F = F_1 + ... + F_k of the sum of the lifted point sets.
 
-    Each component face is recorded by the monomial index set selecting it
-    (the argmin pattern of a shared supporting slope).
+    Each summand F_i is recorded by the monomial index set selecting it,
+    the argmin pattern of (x, 1) at the face's witness slope x.
     """
 
-    def __init__(self, system: TropSystem, pattern: TiePattern):
+    def __init__(self, system: TropSystem, pattern: TiePattern, witness):
         self.system = system
         self.pattern = pattern
+        self.witness = linalg.fvec(witness)
         lifted = []
         for i, f in enumerate(system.polys):
             pts = tuple(tuple(f.monomials[j].a) + (f.monomials[j].b,) for j in sorted(self.pattern.row(i)))
@@ -257,14 +256,14 @@ class DualFace:
 
 
 def dual_subdivision(s: TropSystem) -> list[DualFace]:
-    """All bottom faces of Q_1 + ... + Q_k, via arrangement witnesses."""
-    arr = s.arrangement
-    read = _pattern_reader(s, arr)
+    """All lower faces of Q_1 + ... + Q_k, from the integer lower hull."""
+    lifted = [[tuple(m.a) + (m.b,) for m in f.monomials] for f in s.polys]
     seen: dict[TiePattern, DualFace] = {}
-    for face in arr.faces():
-        b = read(face.signs)
-        if b not in seen:
-            seen[b] = DualFace(s, b)
+    for x, argmins in lower_faces(lifted):
+        b = TiePattern(tuple((i, j) for i, row in enumerate(argmins) for j in sorted(row)))
+        if b in seen:
+            raise InvariantError("dual_subdivision", f"two lower faces with pattern {b.pairs}")
+        seen[b] = DualFace(s, b, x)
     return sorted(seen.values(), key=lambda f: f.pattern.pairs)
 
 
@@ -273,14 +272,20 @@ def tropical_faces(subdivision: list[DualFace]) -> list[DualFace]:
 
 
 def dual_cell(s: TropSystem, f: DualFace) -> PrevarietyCell:
-    """G(F): the closed prevariety cell dual to a tropical face."""
+    """G(F): the closed prevariety cell dual to a tropical face.
+
+    The face's witness must have exactly its pattern, so it lies in the
+    relatively open cell U_B, which is open in the affine span of its ties:
+    dim G(F) = n - rank of the tie rows.
+    """
     if not f.tropical:
         raise ValueError("dual_cell requires a tropical face")
+    at_witness = [eval_poly(g, f.witness)[1] for g in s.polys]
+    if any(argmin != f.pattern.row(i) for i, argmin in enumerate(at_witness)):
+        raise InvariantError("dual_cell", f"witness {f.witness} does not have pattern {f.pattern.pairs}")
     closure = pattern_closure(s, f.pattern)
-    witness = closure.relative_interior_point()
-    if witness is None:
-        raise EmptyPolyhedronError("tropical face with empty dual cell")
-    cell = PrevarietyCell(s, f.pattern, closure.affine_dim(), witness)
+    closure.record_point(f.witness, "dual_cell")
+    cell = PrevarietyCell(s, f.pattern, s.n - linalg.rank([list(a) for a, _ in closure.eq]), f.witness)
     cell.__dict__["closure"] = closure  # reuse instead of rebuilding lazily
     return cell
 

@@ -100,8 +100,8 @@ class TropSystem:
     def arrangement(self) -> Arrangement:
         """The tie arrangement, built once and freed with the system.
 
-        It caches its face lists, so every stage of one analysis (cells,
-        dual route, oracle) enumerates the faces at most once.
+        It caches its face lists, so the stages of one analysis (the
+        cells and the oracle) enumerate the faces at most once.
         """
         return build_arrangement(self)
 

@@ -2,8 +2,9 @@
 
 Each oracle deliberately avoids the code path it is used to check:
 
-- ``sign_vectors_bruteforce`` decides all 3^ell candidate sign vectors with
-  the exact LP; the face enumeration under test uses no LP at all (the LP
+- ``sign_vectors_bruteforce`` (kept in ``tropbetti.cli``, as ``check
+  --oracle`` runs it) decides all 3^ell candidate sign vectors with the
+  exact LP; the face enumeration under test uses no LP at all (the LP
   itself is validated separately in test_linprog).
 - ``rational_rank`` delegates to sympy's rank over QQ, independent of the
   package's elimination code.
@@ -18,6 +19,9 @@ Each oracle deliberately avoids the code path it is used to check:
   equalities' kernel and distinct rows, and needs no LP up to dimension 1.
 - ``pattern_at`` evaluates every monomial at a point with ``eval_poly``;
   the cells and the dual route read patterns from sign vectors instead.
+- ``dual_patterns_by_faces`` reads the dual subdivision's patterns off
+  every face of the tie arrangement; the dual route under test takes the
+  lower hull of the lifted Newton sum and never builds the arrangement.
 - ``sign_vector`` evaluates every hyperplane at a point, and ``face_at``
   picks the enumerated face with that sign vector; the enumeration under
   test steps between faces and never evaluates at an arbitrary point.
@@ -30,25 +34,10 @@ from fractions import Fraction
 
 import sympy
 
-from tropbetti.linprog import LPStatus, relint_witness, solve_lp
-from tropbetti.prevariety import TiePattern
+from tropbetti.cli import sign_vectors_bruteforce  # the one copy; re-exported here
+from tropbetti.linprog import LPStatus, solve_lp
+from tropbetti.prevariety import DualFace, TiePattern, _pattern_reader
 from tropbetti.tropical import TropPoly, eval_poly, is_zero
-
-
-def sign_vectors_bruteforce(arr) -> dict[tuple[int, ...], tuple[Fraction, ...]]:
-    """Feasible sign vectors of an arrangement, with relint witnesses."""
-    out = {}
-    for sv in itertools.product((-1, 0, 1), repeat=arr.ell):
-        eqs, stricts = [], []
-        for h, s in zip(arr.hyperplanes, sv):
-            if s == 0:
-                eqs.append((h.normal, h.offset))
-            else:
-                stricts.append((tuple(s * c for c in h.normal), s * h.offset))
-        w = relint_witness(arr.n, eqs, stricts)
-        if w is not None:
-            out[sv] = w
-    return out
 
 
 def rational_rank(rows) -> int:
@@ -147,6 +136,23 @@ def pattern_at(s, x) -> TiePattern:
         _, argmin = eval_poly(f, x)
         pairs.extend((i, j) for j in argmin)
     return TiePattern.make(pairs)
+
+
+def dual_patterns_by_faces(s) -> list[DualFace]:
+    """One DualFace per argmin pattern of the arrangement's faces, sorted.
+
+    Every x lies on one face, whose sign vector gives its pattern, so the
+    faces realize exactly the lower faces of the lifted Newton sum; each
+    face's witness has its pattern.
+    """
+    arr = s.arrangement
+    read = _pattern_reader(s, arr)
+    seen: dict[TiePattern, DualFace] = {}
+    for face in arr.faces():
+        b = read(face.signs)
+        if b not in seen:
+            seen[b] = DualFace(s, b, face.witness)
+    return sorted(seen.values(), key=lambda f: f.pattern.pairs)
 
 
 def is_bounded_lp(p) -> bool:

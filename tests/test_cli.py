@@ -16,9 +16,12 @@ from tropbetti.cli import (
     parse_system,
     serialize_system,
 )
-from tropbetti import arrangement, exactgeom
+from tropbetti import arrangement, cli, exactgeom
 from tropbetti.corpus import random_system, system_corpus
+from tropbetti.exactgeom import InvariantError
 from tropbetti.linprog import LPResult, LPStatus
+from tropbetti.prevariety import DualFace, cells_via_arrangement, dual_subdivision
+from tropbetti.realize import gen_grid_example
 from tropbetti.tropical import LinForm, TropPoly, TropSystem
 
 from cli_digests import CHECK_CORPUS, CORPUS_COUNT, CORPUS_SEED, DIGESTS
@@ -235,7 +238,7 @@ def test_emit_off(tmp_path, capsys, monkeypatch):
 
 
 def test_check_enumerates_faces_once_per_system(monkeypatch):
-    """The dual route, the cells and the oracle share the system's face list."""
+    """One walk per check: the covering faces, or every face for the oracle."""
     calls = []
     enumerate_faces = arrangement.enumerate_faces
 
@@ -245,10 +248,94 @@ def test_check_enumerates_faces_once_per_system(monkeypatch):
 
     monkeypatch.setattr(arrangement, "enumerate_faces", counted)
     line = parse_system(LINE_DOC.encode())
+    oracle_runs = 0
     for s in [line] + system_corpus(CORPUS_SEED, 10):
         calls.clear()
-        assert check_system(s, oracle=True)["oracle_ok"] is not False
-        assert len(calls) == 1
+        check_system(s)
+        assert calls == [True]
+        calls.clear()
+        s = parse_system(json.dumps(serialize_system(s)).encode())  # a fresh arrangement
+        report = check_system(s, oracle=True)
+        if report["oracle_ok"] is None:  # the oracle skips ell > 6
+            assert calls == [True]
+        else:
+            assert report["oracle_ok"] and calls == [False]
+            oracle_runs += 1
+    assert oracle_runs >= 5
+
+
+def test_dual_subdivision_builds_no_arrangement(monkeypatch):
+    def refuse(arr, covering=False):
+        raise AssertionError("the dual route enumerated arrangement faces")
+
+    systems = [parse_system(LINE_DOC.encode())] + system_corpus(CORPUS_SEED, 10)
+    want = [[(f.pattern, f.dim, f.tropical) for f in dual_subdivision(s)] for s in systems]
+    monkeypatch.setattr(arrangement, "enumerate_faces", refuse)
+    for s, faces in zip(systems, want):
+        assert [(f.pattern, f.dim, f.tropical) for f in dual_subdivision(s)] == faces
+        assert "arrangement" not in vars(s)  # not even built
+
+
+def _mutated_dual_route(monkeypatch, mutate):
+    """Make `check` see the dual route's faces after ``mutate(s, faces)``."""
+
+    def mutated(s):
+        faces = dual_subdivision(s)
+        mutate(s, faces)
+        return faces
+
+    monkeypatch.setattr(cli, "dual_subdivision", mutated)
+
+
+def _first_tropical(faces) -> int:
+    return next(i for i, f in enumerate(faces) if f.tropical)
+
+
+def test_check_fails_when_dual_route_drops_a_face(capsys, monkeypatch):
+    _mutated_dual_route(monkeypatch, lambda s, faces: faces.pop(_first_tropical(faces)))
+    report = check_system(parse_system(LINE_DOC.encode()))
+    assert report["cross_method_ok"] is False and report["all_ok"] is False
+    code, out, _ = run(capsys, ["check", "-"], LINE_DOC, monkeypatch)
+    assert code == 2 and json.loads(out)["cross_method_ok"] is False
+
+
+def test_check_fails_when_dual_route_shifts_a_pattern(capsys, monkeypatch):
+    def shift(s, faces):
+        # one tropical face takes the pattern (and a witness) of another
+        trop = [i for i, f in enumerate(faces) if f.tropical]
+        other = faces[trop[1]]
+        faces[trop[0]] = DualFace(s, other.pattern, other.witness)
+
+    _mutated_dual_route(monkeypatch, shift)
+    for s in [parse_system(LINE_DOC.encode()), gen_grid_example(2, 2)]:
+        report = check_system(s)
+        assert not (report["cross_method_ok"] and report["duality_ok"]) and report["all_ok"] is False
+    code, out, _ = run(capsys, ["check", "-"], LINE_DOC, monkeypatch)
+    assert code == 2
+
+
+def test_check_compares_cell_dimensions(monkeypatch):
+    def misdimensioned(s):
+        comp = cells_via_arrangement(s)
+        comp.cells[0].dim -= 1
+        return comp
+
+    monkeypatch.setattr(cli, "cells_via_arrangement", misdimensioned)
+    report = check_system(parse_system(LINE_DOC.encode()))
+    assert report["duality_ok"] and report["cross_method_ok"] is False and report["all_ok"] is False
+
+
+def test_check_fails_on_a_wrong_dual_witness(capsys, monkeypatch):
+    def move_witness(s, faces):
+        i = _first_tropical(faces)
+        faces[i] = DualFace(s, faces[i].pattern, [x + 7 for x in faces[i].witness])
+
+    _mutated_dual_route(monkeypatch, move_witness)
+    with pytest.raises(InvariantError, match="^dual_cell: witness"):
+        check_system(parse_system(LINE_DOC.encode()))
+    code, out, err = run(capsys, ["check", "-"], LINE_DOC, monkeypatch)
+    assert code == 2 and out == ""
+    assert "InvariantError: dual_cell" in err
 
 
 def test_cli_stdout_matches_pinned_digests(tmp_path, capsys):

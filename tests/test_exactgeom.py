@@ -222,6 +222,37 @@ def test_full_dim_volume_invariant_under_unimodular_maps(n, data):
         assert image.affine_dim() == p.affine_dim()
 
 
+@given(dims, st.data())
+@settings(deadline=None, max_examples=100)
+def test_place_does_not_depend_on_point_order(n, data):
+    # the first affinely independent points seed the simplex, so a
+    # permutation changes the seed and the insertion order
+    simplex = [tuple(int(i == j) for j in range(n)) for i in range(n)] + [(0,) * n]
+    extra = data.draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), max_size=12))
+    pts = list(dict.fromkeys(simplex + extra))
+    facets, total = exactgeom._place(pts)
+    assert exactgeom._place(data.draw(st.permutations(pts))) == (facets, total)
+    assert exactgeom._place(sorted(pts)) == (facets, total)
+    assert all(sum(a * x for a, x in zip(normal, p)) >= offset for normal, offset in facets for p in pts)
+
+
+def test_lower_faces_of_lifted_square():
+    # the unit square lifted at (1, 1): two lower triangles meeting on the
+    # diagonal from (1, 0) to (0, 1), 5 lower edges and 4 lower vertices
+    square = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 1)]
+    faces = exactgeom.lower_faces([square])
+    argmins = sorted(sorted(sets[0]) for _, sets in faces)
+    assert argmins == [[0], [0, 1], [0, 1, 2], [0, 2], [1], [1, 2], [1, 2, 3], [1, 3], [2], [2, 3], [3]]
+    for x, (rows,) in faces:
+        values = [sum(a * c for a, c in zip(p[:2], x)) + p[2] for p in square]
+        assert rows == {j for j, v in enumerate(values) if v == min(values)}
+    # a segment plus the square: the sum has the segment's two ends as summands
+    segment = [(0, 0, Fraction(1, 2)), (2, 0, 0)]
+    faces = exactgeom.lower_faces([square, segment])
+    assert all(len(rows) == 2 for _, rows in faces)
+    assert {rows[1] for _, rows in faces} == {frozenset({0}), frozenset({1}), frozenset({0, 1})}
+
+
 # --------------------------------------------------------------- polyhedra
 
 

@@ -20,7 +20,7 @@ from tropbetti.prevariety import (
 from tropbetti.realize import ComplexDescription, complex_prevariety, gen_grid_example
 from tropbetti.tropical import LinForm, TropPoly, TropSystem, is_system_zero
 
-from oracles import face_at, pattern_at
+from oracles import dual_patterns_by_faces, face_at, pattern_at
 from strategies import small_systems
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -186,6 +186,44 @@ def test_cross_method_equality_seeded():
         for d in duals:
             assert by_pattern[d.pattern].dim == d.dim
             assert by_pattern[d.pattern].closure.canonical() == d.closure.canonical()
+
+
+# ------------------------------------------ dual route against the arrangement
+
+
+def assert_dual_routes_agree(s):
+    """The lower-hull route equals the patterns read off every arrangement face."""
+    got = dual_subdivision(s)
+    want = dual_patterns_by_faces(s)
+    assert [(f.pattern, f.dim, f.tropical) for f in got] == [(f.pattern, f.dim, f.tropical) for f in want]
+    for f in got:
+        assert pattern_at(s, f.witness) == f.pattern
+
+
+def test_dual_routes_agree_on_corpus():
+    for s in system_corpus(20260823, 100) + [gen_grid_example(3, 3)]:
+        assert_dual_routes_agree(s)
+
+
+@given(small_systems())
+@settings(deadline=None, max_examples=120)
+def test_dual_routes_agree_random(s):
+    assert_dual_routes_agree(s)
+
+
+def test_dual_routes_agree_examples():
+    # one polynomial with n + 1 or fewer monomials: its lifted points lie in a
+    # non-vertical hyperplane, so the whole sum is a lower face
+    simplex = TropSystem(3, [poly(((0, 0, 0), 0), ((1, 0, 0), 2), ((0, 1, 0), -1), ((0, 0, 1), 3))])
+    pair = TropSystem(3, [poly(((0, 0, 0), 0), ((1, 2, 0), 1))])
+    faces = dual_subdivision(simplex)
+    assert len(faces) == 15 and max(f.dim for f in faces) == 3
+    assert [f.dim for f in dual_subdivision(pair)] == [0, 1, 0]
+    univariate = TropSystem(1, [poly(((0,), 3), ((1,), 1), ((2,), 0)), poly(((0,), 0), ((3,), -2))])
+    single = TropSystem(2, [poly(((1, 1), 5)), poly(((0, 0), 0), ((1, 0), 1))])
+    degenerate = TropSystem(2, [TropPoly([LinForm.make((1, 0), 0), LinForm.make((1, 0), 2), LinForm.make((0, 1), 1)])])
+    for s in (simplex, pair, univariate, single, degenerate, LINE):
+        assert_dual_routes_agree(s)
 
 
 def test_sampled_patterns_appear_in_subdivision():
