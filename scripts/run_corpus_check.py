@@ -5,6 +5,9 @@ file, and print a one-line summary per system plus totals.
 Usage: python scripts/run_corpus_check.py [--seed N] [--count N]
        [--dir PATH] [--oracle]
 
+Without --dir the corpus goes to a temporary directory that is removed
+on exit.
+
 Exits 0 when every system passes, 2 otherwise (matching `tropbetti check`).
 """
 
@@ -22,11 +25,17 @@ def run(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=20260823)
     parser.add_argument("--count", type=int, default=100)
-    parser.add_argument("--dir", default=None, help="corpus directory (default: temp)")
+    parser.add_argument("--dir", default=None, help="corpus directory, kept (default: a temporary one, removed)")
     parser.add_argument("--oracle", action="store_true", help="enable 3^ell cross-checks")
     args = parser.parse_args(argv)
 
-    out = Path(args.dir) if args.dir else Path(tempfile.mkdtemp(prefix="tropbetti_corpus_"))
+    if args.dir:
+        return _check(Path(args.dir), args)
+    with tempfile.TemporaryDirectory(prefix="tropbetti_corpus_") as tmp:
+        return _check(Path(tmp), args)
+
+
+def _check(out: Path, args) -> int:
     code = cli_main(
         ["gen", "corpus", "--seed", str(args.seed), "--count", str(args.count), "--dir", str(out)]
     )
@@ -48,8 +57,8 @@ def run(argv=None) -> int:
         if status == "FAIL":
             print(json.dumps(report, sort_keys=True, indent=2), file=sys.stderr)
     total = time.monotonic() - start
-    print(f"checked {args.count} systems from seed {args.seed} in {total:.1f}s, "
-          f"{failures} failures (corpus in {out})")
+    kept = f" (corpus in {out})" if args.dir else ""
+    print(f"checked {args.count} systems from seed {args.seed} in {total:.1f}s, {failures} failures{kept}")
     return 0 if failures == 0 else 2
 
 

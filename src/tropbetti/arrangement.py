@@ -184,7 +184,7 @@ def _finish_flat(n, red, hps):
     # integer direction vectors keep the hot sign loops in int arithmetic
     dirs = [linalg.primitive(u)[0] for u in linalg.nullspace(normals, n)]
     red_rows = [(tuple(r[:n]), r[n]) for r in red]
-    base_values, denom = _over_common_denominator([h.value(base) for h in hps])
+    (base_values,), denom = linalg._over_common_denominator([[h.value(base) for h in hps]])
     definers = frozenset(
         i
         for i, h in enumerate(hps)
@@ -192,12 +192,6 @@ def _finish_flat(n, red, hps):
         and all(sum(a * b for a, b in zip(h.normal, u)) == 0 for u in dirs)
     )
     return _Flat(key, n - len(red), base, dirs, red_rows, definers, base_values, denom)
-
-
-def _over_common_denominator(values) -> tuple[list[int], int]:
-    """Rationals as (integer numerators, one positive denominator)."""
-    denom = math.lcm(*(v.denominator for v in values)) if values else 1
-    return [v.numerator * (denom // v.denominator) for v in values], denom
 
 
 def _shifted(values, denom, step: Fraction, slopes) -> tuple[list[int], int]:

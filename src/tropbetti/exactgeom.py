@@ -1,9 +1,12 @@
 """Exact rational convex geometry: H-polyhedra, V-polytopes, volumes.
 
-H-polyhedron predicates are decided by exact rational LP (see linprog);
-V-polytope hulls and volumes use no LP but one integer placing
-triangulation.  Volumes are represented as q*sqrt(s) with q rational and s
-a squarefree integer, so that every comparison in the bound checks stays exact.
+H-polyhedron predicates are decided by exact rational LP (see linprog).
+A V-polytope's vertices, dimension r and r-volume come from one run of an
+integer placing triangulation, with no LP: the points, scaled to integers,
+are projected onto the pivot columns of their differences, and the r-volume
+is the triangulation's own total times the Gram factor of that projection.
+Volumes are represented as q*sqrt(s) with q rational and s a squarefree
+integer, so that every comparison in the bound checks stays exact.
 """
 
 from __future__ import annotations
@@ -68,9 +71,12 @@ class RadVal:
             object.__setattr__(self, "s", 1)
 
     @classmethod
-    def from_sqrt(cls, coeff, radicand: int) -> "RadVal":
-        sq, s = sqfree_decompose(int(radicand))
-        return cls(Fraction(coeff) * sq, s)
+    def from_sqrt(cls, coeff, radicand) -> "RadVal":
+        """coeff * sqrt(radicand), radicand a positive rational a^2 s / (b^2 t)."""
+        radicand = Fraction(radicand)
+        a, s = sqfree_decompose(radicand.numerator)
+        b, t = sqfree_decompose(radicand.denominator)
+        return cls(Fraction(coeff) * a / (b * t), s * t)
 
     def sq(self) -> Fraction:
         return self.q * self.q * self.s
@@ -381,41 +387,26 @@ class VPolytope:
 
     @classmethod
     def hull(cls, points) -> "VPolytope":
-        """conv(points), kept as its vertices."""
+        """conv(points), kept as its vertices, with its dimension and volume."""
         pts = sorted(set(tuple(Fraction(x) for x in p) for p in points))
         if not pts:
             raise ValueError("at least one point required")
-        return cls(len(pts[0]), _hull_vertices(pts))
+        vertices, r, volume = _hull(pts)
+        p = cls(len(pts[0]), vertices)
+        p._cache["measure"] = r, volume
+        return p
+
+    def _measure(self) -> tuple[int, RadVal]:
+        if "measure" not in self._cache:
+            self._cache["measure"] = _hull(self.vertices)[1:]
+        return self._cache["measure"]
 
     def affine_dim(self) -> int:
-        v0 = self.vertices[0]
-        return linalg.rank([list(linalg.vsub(v, v0)) for v in self.vertices[1:]])
+        return self._measure()[0]
 
     def volume(self) -> RadVal:
         """Exact r-dimensional Euclidean volume, r = affine dimension."""
-        if "volume" not in self._cache:
-            self._cache["volume"] = self._lattice_volume()
-        return self._cache["volume"]
-
-    def _lattice_volume(self) -> RadVal:
-        v0 = self.vertices[0]
-        diffs = [list(linalg.vsub(v, v0)) for v in self.vertices[1:]]
-        r = linalg.rank(diffs) if diffs else 0
-        if r == 0:
-            return RadVal(Fraction(1), 1)
-        eq_normals = [linalg.primitive(e)[0] for e in linalg.nullspace(diffs, self.n)]
-        lattice = linalg.integer_kernel([list(e) for e in eq_normals], self.n)
-        if len(lattice) != r:
-            raise InvariantError("VPolytope.volume", f"hull lattice rank {len(lattice)} != {r}")
-        cols = [[Fraction(w[i]) for w in lattice] for i in range(self.n)]
-        ys = [linalg.solve(cols, list(linalg.vsub(v, v0))) for v in self.vertices]
-        if None in ys:
-            raise InvariantError("VPolytope.volume", "a vertex is off the hull lattice")
-        ints, den = _clear_denominators(ys)
-        g = linalg.gram_det(lattice)
-        if g.denominator != 1 or g <= 0:
-            raise InvariantError("VPolytope.volume", f"lattice Gram determinant {g} is not a positive integer")
-        return RadVal.from_sqrt(Fraction(_place(ints)[1], den**r * math.factorial(r)), int(g))
+        return self._measure()[1]
 
 
 def minkowski_sum(a: VPolytope, b: VPolytope) -> VPolytope:
@@ -472,12 +463,6 @@ def _echelon(vectors) -> list:
         if piv is not None:
             basis.append((piv, v))
     return basis
-
-
-def _clear_denominators(pts):
-    """(integer points, d): the rational points scaled by a common denominator d."""
-    den = math.lcm(*(x.denominator for p in pts for x in p))
-    return [tuple(x.numerator * (den // x.denominator) for x in p) for p in pts], den
 
 
 def _place(points):
@@ -537,21 +522,48 @@ def _place(points):
     return sorted(facets), total
 
 
-def _hull_vertices(pts) -> list:
-    """The vertices of the convex hull of distinct rational points.
+def _hull_facets(ints):
+    """The hull of distinct integer points, in the pivot columns of their differences.
 
-    The points are scaled to integers and projected onto the pivot columns of
-    their differences, injective on their affine hull; a point is a vertex
-    when the facets through it have normals of full rank.
+    Projecting onto those columns is injective on the points' affine hull.
+    Returns (rows, cols, facets, total): the integer echelon rows of the
+    differences, as (pivot, row) pairs; the sorted pivot columns; per
+    facet (tight, normal), bit i of ``tight`` set when it holds point i and
+    ``normal`` over ``cols``; and r! times the volume of the projected hull.
+    """
+    rows = _echelon(linalg.vsub(q, ints[0]) for q in ints[1:])
+    cols = sorted(piv for piv, _ in rows)
+    proj = [tuple(q[c] for c in cols) for q in ints]
+    facets, total = _place(proj)
+    tight = [(sum(1 << i for i, q in enumerate(proj) if _idot(a, q) == b), a) for a, b in facets]
+    return rows, cols, tight, total
+
+
+def _vertex_indices(count, facets, r) -> list:
+    """The first ``count`` points that are vertices of an r-dimensional hull:
+    those whose facets, (tight, normal) as ``_hull_facets`` gives them, have
+    normals of full rank."""
+    return [i for i in range(count) if len(_echelon(a for tight, a in facets if tight >> i & 1)) == r]
+
+
+def _hull(pts):
+    """(vertices, r, Vol_r) of the convex hull of distinct rational points.
+
+    The points, scaled by d to integers, are triangulated once in the pivot
+    columns C of the r x n echelon rows W of their differences.  That
+    projection scales r-volumes by |det W_C| / sqrt(det(W W^T)), a factor
+    that does not depend on the basis W of the hull's direction space (it
+    is 1 when r = n), so Vol_r = total * sqrt(det(W W^T) / det(W_C)^2) / (r! d^r).
     """
     if len(pts) == 1:
-        return list(pts)
-    ints, _ = _clear_denominators(pts)
-    cols = sorted(piv for piv, _ in _echelon(linalg.vsub(q, ints[0]) for q in ints[1:]))
-    proj = [tuple(q[c] for c in cols) for q in ints]
-    facets, _ = _place(proj)
-    tight = [[a for a, b in facets if _idot(a, q) == b] for q in proj]
-    return [p for p, t in zip(pts, tight) if len(_echelon(t)) == len(cols)]
+        return list(pts), 0, RadVal(Fraction(1))
+    ints, den = linalg._over_common_denominator(pts)
+    rows, cols, facets, total = _hull_facets(ints)
+    r = len(cols)
+    w = [row for _, row in rows]
+    gram = Fraction(_idet([[_idot(a, b) for b in w] for a in w]), _idet([[row[c] for c in cols] for row in w]) ** 2)
+    volume = RadVal.from_sqrt(Fraction(total, math.factorial(r) * den**r), gram)
+    return [pts[i] for i in _vertex_indices(len(pts), facets, r)], r, volume
 
 
 # ------------------------------------------- lower faces of lifted Minkowski sums
@@ -574,16 +586,9 @@ def _lifted_hull(points):
         if a not in lowest or b < lowest[a]:
             lowest[a] = b
     low = sorted(a + (b,) for a, b in lowest.items())
-    pts = low + [p[:-1] + (p[-1] + 1,) for p in low]
-    cols = sorted(piv for piv, _ in _echelon(linalg.vsub(q, pts[0]) for q in pts[1:]))
-    proj = [tuple(q[c] for c in cols) for q in pts]
+    _, cols, facets, _ = _hull_facets(low + [p[:-1] + (p[-1] + 1,) for p in low])
     bottom = (1 << len(low)) - 1
-    facets = []
-    for normal, offset in _place(proj)[0]:
-        tight = sum(1 << i for i, q in enumerate(proj) if _idot(normal, q) == offset)
-        if tight & bottom:
-            facets.append((tight, normal))
-    return low, cols, facets
+    return low, cols, [f for f in facets if f[0] & bottom]
 
 
 def _lower_vertices(points) -> list:
@@ -593,9 +598,7 @@ def _lower_vertices(points) -> list:
     points whose facets have normals of full rank.
     """
     low, cols, facets = _lifted_hull(points)
-    return [
-        p for i, p in enumerate(low) if len(_echelon(normal for tight, normal in facets if tight >> i & 1)) == len(cols)
-    ]
+    return [low[i] for i in _vertex_indices(len(low), facets, len(cols))]
 
 
 def lower_faces(point_sets) -> list:
@@ -617,7 +620,7 @@ def lower_faces(point_sets) -> list:
     that face.
     """
     sets = [[tuple(Fraction(c) for c in p) for p in pts] for pts in point_sets]
-    flat, _ = _clear_denominators([p for pts in sets for p in pts])
+    flat, _ = linalg._over_common_denominator([p for pts in sets for p in pts])
     ints, start = [], 0
     for pts in sets:
         ints.append(flat[start : start + len(pts)])

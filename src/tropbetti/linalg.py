@@ -7,7 +7,7 @@ and never touches floating point.  Matrices are lists of row vectors.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Vec = tuple[Fraction, ...]
 
@@ -104,13 +104,6 @@ def nullspace(a_rows, n: int) -> list[Vec]:
     return basis
 
 
-def _gcd_all(xs) -> int:
-    g = 0
-    for x in xs:
-        g = gcd(g, abs(x))
-    return g
-
-
 def primitive(v, allow_flip: bool = False) -> tuple[tuple[int, ...], Fraction]:
     """Scale a rational vector to a coprime integer vector.
 
@@ -121,13 +114,10 @@ def primitive(v, allow_flip: bool = False) -> tuple[tuple[int, ...], Fraction]:
     fr = [Fraction(x) for x in v]
     if all(x == 0 for x in fr):
         return tuple(0 for _ in fr), Fraction(1)
-    den_lcm = 1
-    for x in fr:
-        den_lcm = den_lcm * x.denominator // gcd(den_lcm, x.denominator)
-    ints = [int(x * den_lcm) for x in fr]
-    g = _gcd_all(ints)
+    (ints,), den = _over_common_denominator([fr])
+    g = gcd(*ints)
     ints = [x // g for x in ints]
-    c = Fraction(den_lcm, g)
+    c = Fraction(den, g)
     if allow_flip:
         lead = next(x for x in ints if x != 0)
         if lead < 0:
@@ -136,68 +126,11 @@ def primitive(v, allow_flip: bool = False) -> tuple[tuple[int, ...], Fraction]:
     return tuple(ints), c
 
 
-def integer_kernel(a_rows: list[list[int]], n: int) -> list[tuple[int, ...]]:
-    """Basis of the integer kernel {v in Z^n : A v = 0} (saturated lattice).
+def _over_common_denominator(rows) -> tuple[list[tuple[int, ...]], int]:
+    """Rational rows as (integer rows, d): the rows times one positive d.
 
-    Column-reduction with unimodular operations; A must have integer entries.
+    Package-internal: arrangement and exactgeom use it to move rational
+    data into integer arithmetic.
     """
-    m = [list(map(int, row)) for row in a_rows]
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]  # columns of U
-
-    def colop_sub(j_dst, j_src, q, nrows):
-        for i in range(nrows):
-            m[i][j_dst] -= q * m[i][j_src]
-        for i in range(n):
-            u[i][j_dst] -= q * u[i][j_src]
-
-    def colswap(j1, j2, nrows):
-        for i in range(nrows):
-            m[i][j1], m[i][j2] = m[i][j2], m[i][j1]
-        for i in range(n):
-            u[i][j1], u[i][j2] = u[i][j2], u[i][j1]
-
-    nrows = len(m)
-    pivot_cols: set[int] = set()
-    next_col = 0
-    for r in range(nrows):
-        # Euclidean reduction across non-pivot columns in row r.
-        while True:
-            live = [j for j in range(next_col, n) if m[r][j] != 0]
-            if len(live) <= 1:
-                break
-            live.sort(key=lambda j: abs(m[r][j]))
-            j0 = live[0]
-            for j in live[1:]:
-                q = m[r][j] // m[r][j0]
-                colop_sub(j, j0, q, nrows)
-        live = [j for j in range(next_col, n) if m[r][j] != 0]
-        if live:
-            colswap(next_col, live[0], nrows)
-            pivot_cols.add(next_col)
-            next_col += 1
-    return [tuple(u[i][j] for i in range(n)) for j in range(next_col, n)]
-
-
-def det(rows) -> Fraction:
-    m = [[Fraction(x) for x in row] for row in rows]
-    n = len(m)
-    d = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            d = -d
-        d *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return d
-
-
-def gram_det(vectors) -> Fraction:
-    g = [[dot(a, b) for b in vectors] for a in vectors]
-    return det(g)
+    d = lcm(*(x.denominator for row in rows for x in row))
+    return [tuple(x.numerator * (d // x.denominator) for x in row) for row in rows], d

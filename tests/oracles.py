@@ -10,6 +10,9 @@ Each oracle deliberately avoids the code path it is used to check:
   package's elimination code.
 - ``convex_hull_2d`` / ``polygon_area`` are a monotone-chain hull and
   shoelace area, independent of the placing triangulation and Gram volumes.
+- ``simplex_volume_sq`` is the squared volume of an r-simplex in Q^n from
+  sympy's determinant of the Gram matrix of its edge vectors; the volume
+  under test comes from a placing triangulation of a projection.
 - ``hull_vertices_lp`` keeps the points that no exact LP writes as a convex
   combination of the other points; the hull under test uses no LP.
 - ``univariate_zeros`` finds breakpoints of a univariate min-envelope from
@@ -100,6 +103,13 @@ def polygon_area(points) -> Fraction:
         for i in range(len(hull))
     )
     return abs(twice) / 2
+
+
+def simplex_volume_sq(verts) -> Fraction:
+    """Squared r-volume of the simplex conv(verts): det(D D^T) / (r!)^2,
+    D the r x n matrix of differences verts[i] - verts[0]."""
+    d = sympy.Matrix([[sympy.Rational(x - y) for x, y in zip(v, verts[0])] for v in verts[1:]])
+    return Fraction(str((d * d.T).det() / sympy.factorial(d.rows) ** 2))
 
 
 def hull_vertices_lp(points) -> list[tuple[Fraction, ...]]:

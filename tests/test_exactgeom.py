@@ -3,7 +3,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tropbetti import exactgeom
@@ -17,7 +17,7 @@ from tropbetti.exactgeom import (
     sqfree_decompose,
 )
 
-from oracles import hull_vertices_lp, is_bounded_lp, polygon_area
+from oracles import hull_vertices_lp, is_bounded_lp, polygon_area, simplex_volume_sq
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -183,6 +183,31 @@ def test_volume_2d_matches_shoelace(points):
     p = VPolytope.hull(points)
     if p.affine_dim() == 2:
         assert p.volume() == RadVal(polygon_area(points))
+
+
+@given(st.integers(min_value=2, max_value=4), st.data())
+@settings(deadline=None, max_examples=80)
+def test_lower_dim_simplex_volume_matches_sympy(n, data):
+    r = data.draw(st.integers(min_value=1, max_value=n - 1))
+    verts = data.draw(st.lists(st.tuples(*[rationals] * n), min_size=r + 1, max_size=r + 1, unique=True))
+    want = simplex_volume_sq(verts)
+    assume(want != 0)  # affinely independent
+    p = VPolytope(n, verts)
+    assert p.affine_dim() == r
+    assert p.volume().sq() == want
+
+
+def test_hull_triangulates_once(monkeypatch):
+    calls = []
+    place = exactgeom._place
+    monkeypatch.setattr(exactgeom, "_place", lambda points: calls.append(1) or place(points))
+    # a lattice quadrilateral, with an interior point, in a rational plane of Q^3
+    pts = [(x, y, Fraction(x, 4)) for x, y in [(0, 0), (2, 1), (1, 3), (3, 4), (1, 2)]]
+    p = VPolytope.hull(pts)
+    assert len(calls) == 1
+    assert p.affine_dim() == 2 and len(p.vertices) == 4
+    assert p.volume() == RadVal.from_sqrt(Fraction(5, 4), 17)  # area 5 times sqrt(1 + (1/4)^2)
+    assert len(calls) == 1
 
 
 def _apply(matrix, shift, pts):

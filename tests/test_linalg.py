@@ -1,6 +1,6 @@
+import math
 from fractions import Fraction
 
-import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -83,45 +83,10 @@ def test_primitive_flip_sign(v):
     assert w == tuple(c * Fraction(x) for x in v)
 
 
-@given(
-    st.integers(min_value=1, max_value=4).flatmap(
-        lambda n: st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n)
-    )
-)
-@settings(deadline=None)
-def test_det_matches_sympy(rows):
-    got = linalg.det(rows)
-    want = sympy.Matrix([[sympy.Rational(x) for x in row] for row in rows]).det()
-    assert sympy.Rational(got) == want
-
-
-def test_integer_kernel_known():
-    # kernel of (1, 1, 0) has rank 2 and every vector annihilates the row
-    basis = linalg.integer_kernel([[1, 1, 0]], 3)
-    assert len(basis) == 2
-    for v in basis:
-        assert v[0] + v[1] == 0
-
-
-@given(
-    st.integers(min_value=1, max_value=4).flatmap(
-        lambda n: st.lists(
-            st.lists(st.integers(min_value=-3, max_value=3), min_size=n, max_size=n),
-            min_size=1,
-            max_size=3,
-        )
-    )
-)
-@settings(deadline=None)
-def test_integer_kernel_properties(rows):
-    n = len(rows[0])
-    basis = linalg.integer_kernel(rows, n)
-    assert len(basis) == n - linalg.rank(rows)
-    for v in basis:
-        assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows)
-
-
-def test_gram_det_examples():
-    assert linalg.gram_det([(1, 1)]) == 2
-    assert linalg.gram_det([(1, 0, 0), (0, 1, 0)]) == 1
-    assert linalg.gram_det([(1, 0), (2, 0)]) == 0
+@given(matrices)
+def test_over_common_denominator(rows):
+    ints, d = linalg._over_common_denominator(rows)
+    assert d > 0
+    assert [[Fraction(x, d) for x in row] for row in ints] == [[Fraction(x) for x in row] for row in rows]
+    # no smaller denominator will do: d/g would, for any common factor g
+    assert math.gcd(d, *(x for row in ints for x in row)) == 1

@@ -1,0 +1,57 @@
+"""The scripts and the benchmark harness stay in step with the package."""
+
+import ast
+import importlib
+import importlib.util
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load(path: Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_run_corpus_check_removes_its_temporary_corpus(tmp_path, monkeypatch, capsys):
+    script = _load(ROOT / "scripts" / "run_corpus_check.py")
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    assert script.run(["--count", "2"]) == 0
+    assert list(tmp_path.iterdir()) == []
+    closing = capsys.readouterr().out.splitlines()[-1]
+    assert closing.startswith("checked 2 systems") and str(tmp_path) not in closing
+
+
+def test_benchmark_harness_names_exist():
+    """Every name the tracer wraps and the worker imports is in the package.
+
+    A name that looks dead inside ``src/`` may still be used by the
+    benchmark; deleting it would break the traced run.
+    """
+    tracer = _load(ROOT / "perfbench" / "tracer.py")
+    for layer in tracer.LAYERS:
+        importlib.import_module(f"tropbetti.{layer}")
+    for table in (tracer.METHOD_SPANS, tracer.METHOD_COUNTERS):
+        for qual, methods in table.items():
+            layer, cls_name = qual.split(".")
+            cls = getattr(importlib.import_module(f"tropbetti.{layer}"), cls_name)
+            missing = [m for m in methods if m not in cls.__dict__]
+            assert missing == [], f"{qual} lacks {missing}"
+
+    tree = ast.parse((ROOT / "perfbench" / "worker.py").read_text())
+    imports = 0
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "tropbetti":
+                    importlib.import_module(alias.name)
+                    imports += 1
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "tropbetti":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                assert hasattr(module, alias.name), f"{node.module}.{alias.name} is missing"
+                imports += 1
+    assert imports > 0
