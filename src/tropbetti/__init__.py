@@ -52,8 +52,6 @@ from .topology import (
     SimplicialComplex,
     betti,
     betti_of_complex,
-    bounded_subcomplex,
-    reduce_lineality,
     triangulate,
 )
 from .tropical import (

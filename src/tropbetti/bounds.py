@@ -122,7 +122,7 @@ def bound_report(s: TropSystem, complex_: PrevarietyComplex, betti: BettiVector)
         sparse_bound=sp_bound,
         sparse_degenerate=s.n > s.k * math.comb(m, 2),
         betti_le_phi=total_b <= phi,
-        phi_le_dense=None if dense_degenerate else not dense < phi,
+        phi_le_dense=None if dense_degenerate else dense >= phi,
         phi_le_sparse=phi <= sp_bound,
         betti_le_degree=betti_le_degree,
     )

@@ -158,12 +158,12 @@ def _hrep_json(p: HPolyhedron) -> dict:
     }
 
 
-def _cell_json(cell) -> dict:
+def _cell_json(cell, lineality: int, retract: bool) -> dict:
     return {
         "pattern": [list(p) for p in cell.pattern.pairs],
         "dim": cell.dim,
-        "bounded": cell.bounded,
-        "lineality_dim": cell.lineality_dim,
+        "bounded": lineality == 0 and retract,
+        "lineality_dim": lineality,
         "hrep": _hrep_json(cell.closure),
     }
 
@@ -270,10 +270,11 @@ def _emit_off(path: str, comp: PrevarietyComplex) -> None:
     verts: list[tuple[float, float, float]] = []
     index: dict[tuple[float, float, float], int] = {}
     faces = []
-    for cell in comp.cells:
-        if not cell.bounded or cell.dim > 2:
+    for cell, lineality, retract, cell_faces in zip(comp.cells, comp.lineality, comp.retract, comp.faces):
+        if lineality > 0 or not retract or cell.dim > 2:
             continue
-        vs = [lift(v) for v in cell.closure.vertices()]
+        # a bounded cell's vertices are its 0-dimensional faces
+        vs = [lift(v) for v in sorted(comp.cells[j].witness for j in cell_faces if comp.cells[j].dim == 0)]
         ids = []
         for v in vs:
             if v not in index:
@@ -295,7 +296,7 @@ def _cmd_cells(args) -> tuple[dict, int]:
     comp = cells_via_arrangement(parse_system(_read_input(args)))
     if args.emit_off:
         _emit_off(args.emit_off, comp)
-    return {"cells": [_cell_json(c) for c in comp.cells]}, 0
+    return {"cells": [_cell_json(*c) for c in zip(comp.cells, comp.lineality, comp.retract)]}, 0
 
 
 def _cmd_betti(args) -> tuple[list, int]:

@@ -103,6 +103,14 @@ class RadVal:
         a, b = self._cmp_key(other)
         return a < b
 
+    def __ge__(self, other):
+        a, b = self._cmp_key(other)
+        return a >= b
+
+    def __gt__(self, other):
+        a, b = self._cmp_key(other)
+        return a > b
+
     def __eq__(self, other):
         if isinstance(other, RadVal):
             return (self.q, self.s) == (other.q, other.s)

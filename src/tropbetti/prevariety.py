@@ -150,17 +150,17 @@ class PrevarietyCell:
         closure.record_point(self.witness, "PrevarietyCell.closure")
         return closure
 
-    @cached_property
-    def bounded(self) -> bool:
-        return self.closure.is_bounded()
-
-    @cached_property
-    def lineality_dim(self) -> int:
-        return len(self.closure.lineality_basis())
-
 
 class PrevarietyComplex:
-    """Cells of a prevariety with their closure (face) relation."""
+    """Cells of a prevariety with their closure (face) relation.
+
+    The faces of the closure of U_B are the cells whose pattern contains B
+    (``faces[i]``, cell i first), and they share its lineality space, of
+    dimension d: ``lineality[i]`` is the least cell dimension in the
+    component, and ``retract[i]`` says if the closure is bounded modulo that
+    space, that is, if each of its faces of dimension d + 1 (an edge) has two
+    faces of dimension d (its vertices).
+    """
 
     def __init__(self, system: TropSystem, cells):
         self.system = system
@@ -173,6 +173,22 @@ class PrevarietyComplex:
             if ca.pattern < cb.pattern
         )
         self.component_labels = self._label_components()
+        self.faces = tuple([i] for i in range(len(self.cells)))
+        for a, b in self.incidence:
+            self.faces[a].append(b)
+        low: dict[int, int] = {}
+        for cell, label in zip(self.cells, self.component_labels):
+            low[label] = min(low.get(label, cell.dim), cell.dim)
+        self.lineality = tuple(low[label] for label in self.component_labels)
+        rays = set()
+        for i, (cell, d) in enumerate(zip(self.cells, self.lineality)):
+            if cell.dim == d + 1:
+                ends = sum(self.cells[j].dim == d for j in self.faces[i])
+                if ends not in (1, 2):
+                    raise InvariantError("PrevarietyComplex", f"edge {cell.pattern.pairs} has {ends} vertices")
+                if ends == 1:
+                    rays.add(i)
+        self.retract = tuple(rays.isdisjoint(faces) for faces in self.faces)
 
     def __repr__(self):
         return f"PrevarietyComplex(cells={len(self.cells)})"
@@ -283,18 +299,17 @@ def dual_cell(s: TropSystem, f: DualFace) -> PrevarietyCell:
     at_witness = [eval_poly(g, f.witness)[1] for g in s.polys]
     if any(argmin != f.pattern.row(i) for i, argmin in enumerate(at_witness)):
         raise InvariantError("dual_cell", f"witness {f.witness} does not have pattern {f.pattern.pairs}")
-    closure = pattern_closure(s, f.pattern)
-    closure.record_point(f.witness, "dual_cell")
-    cell = PrevarietyCell(s, f.pattern, s.n - linalg.rank([list(a) for a, _ in closure.eq]), f.witness)
-    cell.__dict__["closure"] = closure  # reuse instead of rebuilding lazily
-    return cell
+    ties = []
+    for i, g in enumerate(s.polys):
+        a0, *rest = (g.monomials[j].a for j in sorted(f.pattern.row(i)))
+        ties.extend(linalg.vsub(a, a0) for a in rest)
+    return PrevarietyCell(s, f.pattern, s.n - linalg.rank(ties), f.witness)
 
 
 def connected_components(c: PrevarietyComplex) -> list[list[PrevarietyCell]]:
-    """Cells grouped by connected component of the support."""
+    """Cells grouped by connected component of the support, sorted by pattern
+    within and across groups, as the cells and their labels are."""
     groups: dict[int, list[PrevarietyCell]] = {}
     for cell, label in zip(c.cells, c.component_labels):
         groups.setdefault(label, []).append(cell)
-    comps = [sorted(g, key=lambda cl: cl.pattern.pairs) for g in groups.values()]
-    comps.sort(key=lambda g: g[0].pattern.pairs)
-    return comps
+    return list(groups.values())

@@ -1,21 +1,18 @@
 """Exact Betti numbers of a prevariety.
 
-Pipeline: split into connected components; factor out the common lineality
-space L of a component (every cell's constraint normals span the same
-space, so L is shared) by slicing with T = L-perp; keep the subcomplex of
-bounded cells, a deformation retract of the sliced component; triangulate
-it as the order complex of the face poset (a barycentric subdivision); and
-read off homology ranks from exact rational boundary-matrix ranks.
+A connected component is L x (its slice by L-perp), L the lineality space
+of its cells, and the slice retracts onto the cells bounded modulo L, which
+``PrevarietyComplex.retract`` reads from the face poset; no polyhedron is
+built here.  Each component's retract is triangulated as the order complex
+of its face poset, and homology ranks come from exact rational ranks.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
-from .exactgeom import HPolyhedron
 from .prevariety import PrevarietyCell, PrevarietyComplex, connected_components
 
 
@@ -74,59 +71,13 @@ class SimplicialComplex:
         return out
 
 
-def reduce_lineality(component: list[PrevarietyCell]) -> tuple[int, list[PrevarietyCell]]:
-    """Slice a connected component with T = (lineality space)-perp.
-
-    The component is homeomorphic to L x (C intersect T), so the slice
-    preserves homotopy type; afterwards no cell contains a line.
-    """
-    component = list(component)
-    if not component:
-        return 0, []
-    n = component[0].system.n
-    normals: list[list[Fraction]] = []
-    for cell in component:
-        p = cell.closure
-        normals.extend(list(a) for a, _ in p.eq)
-        normals.extend(list(a) for a, _ in p.ineq)
-    lin_basis = linalg.nullspace(normals, n)
-    d = len(lin_basis)
-    if d == 0:
-        return 0, component
-    gram = [[linalg.dot(u, v) for v in lin_basis] for u in lin_basis]
-    reduced = []
-    for cell in component:
-        coeffs = linalg.solve(gram, [linalg.dot(u, cell.witness) for u in lin_basis])
-        w = cell.witness
-        for c, u in zip(coeffs, lin_basis):
-            w = linalg.vsub(w, linalg.vscale(c, u))
-        sliced = cell.closure.intersect(HPolyhedron(n, [(u, 0) for u in lin_basis], []))
-        # the closure is invariant along L, so w, the witness minus its
-        # L-component, lies in the slice
-        sliced.record_point(w, "reduce_lineality")
-        new = PrevarietyCell(cell.system, cell.pattern, cell.dim - d, w)
-        new.__dict__["closure"] = sliced
-        reduced.append(new)
-    return d, reduced
-
-
-def bounded_subcomplex(reduced: list[PrevarietyCell]) -> list[PrevarietyCell]:
-    """Subcomplex of bounded cells: a deformation retract of the input."""
-    for cell in reduced:
-        if cell.lineality_dim > 0:
-            raise ValueError("cell contains a line; reduce lineality first")
-    return [c for c in reduced if c.bounded]
-
-
 def triangulate(cells: list[PrevarietyCell]) -> SimplicialComplex:
     """Order complex of the face poset: the barycentric subdivision.
 
+    The cells are bounded modulo lineality (``PrevarietyComplex.retract``).
     As in ``PrevarietyComplex.incidence``, a cell lies in the closure of
     another exactly when its tie pattern is a proper superset.
     """
-    for cell in cells:
-        if not cell.bounded:
-            raise ValueError("cannot triangulate an unbounded cell")
     comparable = [
         [a is b or a.pattern < b.pattern or b.pattern < a.pattern for b in cells] for a in cells
     ]
@@ -170,9 +121,8 @@ def betti(sc: SimplicialComplex) -> BettiVector:
 
 
 def betti_of_complex(c: PrevarietyComplex) -> BettiVector:
+    keep = {cell.pattern for cell, retract in zip(c.cells, c.retract) if retract}
     total = BettiVector.make([])
     for component in connected_components(c):
-        _, reduced = reduce_lineality(component)
-        retract = bounded_subcomplex(reduced)
-        total = total + betti(triangulate(retract))
+        total = total + betti(triangulate([cell for cell in component if cell.pattern in keep]))
     return total

@@ -25,6 +25,10 @@ Each oracle deliberately avoids the code path it is used to check:
 - ``dual_patterns_by_faces`` reads the dual subdivision's patterns off
   every face of the tie arrangement; the dual route under test takes the
   lower hull of the lifted Newton sum and never builds the arrangement.
+- ``sliced_closures`` cuts each cell's closure with the orthogonal
+  complement of the component's lineality space, found as a nullspace of
+  all closure normals; ``PrevarietyComplex.lineality`` and ``retract``
+  read the same answers from the face poset and build no polyhedron.
 - ``sign_vector`` evaluates every hyperplane at a point, and ``face_at``
   picks the enumerated face with that sign vector; the enumeration under
   test steps between faces and never evaluates at an arbitrary point.
@@ -37,7 +41,9 @@ from fractions import Fraction
 
 import sympy
 
+from tropbetti import linalg
 from tropbetti.cli import sign_vectors_bruteforce  # the one copy; re-exported here
+from tropbetti.exactgeom import HPolyhedron
 from tropbetti.linprog import LPStatus, solve_lp
 from tropbetti.prevariety import DualFace, TiePattern, _pattern_reader
 from tropbetti.tropical import TropPoly, eval_poly, is_zero
@@ -179,6 +185,33 @@ def is_bounded_lp(p) -> bool:
     res = solve_lp(p.n, eqs, ineqs, total, maximize=True)
     assert res.status is LPStatus.OPTIMAL
     return res.value == 0
+
+
+def sliced_closures(component) -> tuple[int, list]:
+    """(d, closures sliced by L-perp) for a connected component of cells.
+
+    L, the lineality space the component's closures share, is the nullspace
+    of all their constraint normals (d = dim L); each closure is cut with
+    L-perp through the origin, and its witness minus its L-component must
+    lie in the cut.  A cut is pointed, and the retract is the bounded cuts.
+    """
+    n = component[0].system.n
+    normals = [list(a) for cell in component for a, _ in cell.closure.eq + cell.closure.ineq]
+    basis = linalg.nullspace(normals, n)
+    if not basis:
+        return 0, [cell.closure for cell in component]
+    gram = [[linalg.dot(u, v) for v in basis] for u in basis]
+    cut = HPolyhedron(n, [(u, 0) for u in basis], [])
+    sliced = []
+    for cell in component:
+        coeffs = linalg.solve(gram, [linalg.dot(u, cell.witness) for u in basis])
+        w = cell.witness
+        for c, u in zip(coeffs, basis):
+            w = linalg.vsub(w, linalg.vscale(c, u))
+        p = cell.closure.intersect(cut)
+        p.record_point(w, "sliced_closures")
+        sliced.append(p)
+    return len(basis), sliced
 
 
 def sign_vector(arr, x) -> tuple[int, ...]:

@@ -14,9 +14,9 @@ import pytest
 from tropbetti.cli import check_system
 from tropbetti.corpus import complex_corpus, random_system, system_corpus
 from tropbetti.exactgeom import HPolyhedron
-from tropbetti.prevariety import cells_via_arrangement, connected_components
+from tropbetti.prevariety import cells_via_arrangement
 from tropbetti.realize import ComplexDescription, complex_prevariety, gen_grid_example
-from tropbetti.topology import betti_of_complex, reduce_lineality
+from tropbetti.topology import betti_of_complex
 from tropbetti.tropical import LinForm, TropPoly, TropSystem, is_system_zero
 
 from oracles import sign_vectors_bruteforce
@@ -170,10 +170,8 @@ def test_criterion_6_topology_oracles():
     results.append(("two points", betti_of(complex_prevariety(points)), (2,)))
 
     plane = TropSystem(3, [poly(((0, 0, 0), 0), ((1, 0, 0), 0))])
-    [component] = connected_components(cells_via_arrangement(plane))
-    d, _ = reduce_lineality(component)
     results.append(("plane betti", betti_of(plane), (1,)))
-    results.append(("plane lineality", (d,), (2,)))
+    results.append(("plane lineality", cells_via_arrangement(plane).lineality, (2,)))
 
     ok = all(got == want for _, got, want in results)
     _verdict(6, ok, "; ".join(f"{name}: {list(got)}" for name, got, _ in results))

@@ -16,17 +16,30 @@ from tropbetti.cli import (
     parse_system,
     serialize_system,
 )
-from tropbetti import arrangement, cli, exactgeom
+from tropbetti import arrangement, cli, exactgeom, linprog, prevariety
 from tropbetti.corpus import random_system, system_corpus
 from tropbetti.exactgeom import InvariantError
 from tropbetti.linprog import LPResult, LPStatus
 from tropbetti.prevariety import DualFace, cells_via_arrangement, dual_subdivision
-from tropbetti.realize import gen_grid_example
+from tropbetti.realize import complex_prevariety, gen_grid_example
+from tropbetti.topology import betti_of_complex
 from tropbetti.tropical import LinForm, TropPoly, TropSystem
 
-from cli_digests import CHECK_CORPUS, CORPUS_COUNT, CORPUS_SEED, DIGESTS
+from cli_digests import CHECK_CORPUS, CORPUS_COUNT, CORPUS_SEED, DIGESTS, EMIT_OFF
 
 LINE_DOC = '{"n":2,"polys":[[[[1,0],"0"],[[0,1],"0"],[[0,0],"0"]]]}'
+# the boundary of the unit square, acceptance criterion 6's circle
+SQUARE_DOC = json.dumps(
+    {
+        "n": 2,
+        "polyhedra": [
+            {"eq": [[[0, 1], "0"]], "ineq": [[[1, 0], "0"], [[-1, 0], "-1"]]},
+            {"eq": [[[0, 1], "1"]], "ineq": [[[1, 0], "0"], [[-1, 0], "-1"]]},
+            {"eq": [[[1, 0], "0"]], "ineq": [[[0, 1], "0"], [[0, -1], "-1"]]},
+            {"eq": [[[1, 0], "1"]], "ineq": [[[0, 1], "0"], [[0, -1], "-1"]]},
+        ],
+    }
+)
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -194,19 +207,22 @@ def test_check_output_same_under_python_O(tmp_path):
     assert system.n == 3
     path = tmp_path / "system.json"
     path.write_text(json.dumps(serialize_system(system)))
+    square = tmp_path / "square.json"
+    square.write_text(json.dumps(serialize_system(complex_prevariety(parse_complex(SQUARE_DOC.encode())))))
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    outs = []
-    for flags in (["-O"], []):
-        proc = subprocess.run(
-            [sys.executable, *flags, "-m", "tropbetti.cli", "check", str(path)],
-            capture_output=True,
-            env=env,
-            timeout=600,
-        )
-        assert proc.returncode == 0, proc.stderr.decode()
-        outs.append(proc.stdout)
-    assert outs[0] == outs[1] and outs[0]
+    for command, target in (("check", path), ("betti", square), ("cells", square)):
+        outs = []
+        for flags in (["-O"], []):
+            proc = subprocess.run(
+                [sys.executable, *flags, "-m", "tropbetti.cli", command, str(target)],
+                capture_output=True,
+                env=env,
+                timeout=600,
+            )
+            assert proc.returncode == 0, proc.stderr.decode()
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1] and outs[0]
 
 
 def test_output_byte_stability(capsys, monkeypatch):
@@ -235,6 +251,40 @@ def test_emit_off(tmp_path, capsys, monkeypatch):
     assert code == 0
     text = path.read_text()
     assert text.startswith("OFF\n")
+
+
+def test_emit_off_matches_pinned_digests(tmp_path, capsys):
+    """The OFF file of every corpus system is byte-identical."""
+    corpus = tmp_path / "corpus"
+    argv = ["gen", "corpus", "--seed", str(CORPUS_SEED), "--count", str(CORPUS_COUNT)]
+    assert main(argv + ["--dir", str(corpus)]) == 0
+    paths = sorted(corpus.glob("*.json"))
+    assert len(paths) == len(EMIT_OFF) == CORPUS_COUNT
+    changed = []
+    for path, pinned in zip(paths, EMIT_OFF):
+        off = tmp_path / f"{path.stem}.off"
+        assert main(["cells", str(path), "--emit-off", str(off)]) == 0
+        if hashlib.sha256(off.read_bytes()).hexdigest() != pinned:
+            changed.append(path.name)
+    capsys.readouterr()
+    assert changed == []
+
+
+def test_check_and_betti_build_no_polyhedron(monkeypatch):
+    """Cells, dual cells, lineality and the retract come without H-polyhedra or LPs."""
+    circle = complex_prevariety(parse_complex(SQUARE_DOC.encode()))
+    systems = [gen_grid_example(3, 3)] + system_corpus(CORPUS_SEED, 10)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built an H-polyhedron or solved an LP")
+
+    monkeypatch.setattr(prevariety, "pattern_closure", refuse)
+    monkeypatch.setattr(exactgeom.HPolyhedron, "__init__", refuse)
+    monkeypatch.setattr(exactgeom, "solve_lp", refuse)
+    monkeypatch.setattr(linprog, "solve_lp", refuse)
+    for s in systems:
+        assert check_system(s)["all_ok"]
+    assert betti_of_complex(cells_via_arrangement(circle)).b == (1, 1)
 
 
 def test_check_enumerates_faces_once_per_system(monkeypatch):

@@ -1,4 +1,5 @@
 import ast
+import operator
 from fractions import Fraction
 from pathlib import Path
 
@@ -47,6 +48,28 @@ def test_radval_comparisons_with_rationals():
     assert RadVal(Fraction(3)) == 3
     with pytest.raises(ValueError):
         _ = v < -1
+
+
+radvals = st.builds(
+    RadVal.from_sqrt,
+    st.fractions(min_value=0, max_value=6, max_denominator=4),
+    st.fractions(min_value=Fraction(1, 4), max_value=12, max_denominator=4),
+)
+
+
+@given(radvals, st.one_of(radvals, st.fractions(min_value=0, max_value=8, max_denominator=4)))
+@settings(max_examples=200)
+def test_radval_comparisons_agree_with_squares(v, w):
+    w_sq = w.sq() if isinstance(w, RadVal) else w * w
+    assert (v < w, v <= w, v > w, v >= w) == (v.sq() < w_sq, v.sq() <= w_sq, v.sq() > w_sq, v.sq() >= w_sq)
+    assert (v > 0) == (v.sq() > 0) and (0 < v) == (v.sq() > 0)
+
+
+@given(radvals, st.fractions(max_value=0, max_denominator=4).filter(lambda q: q < 0))
+def test_radval_comparison_with_negative_rational_raises(v, q):
+    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(ValueError):
+            compare(v, q)
 
 
 # ------------------------------------------------------------- feasibility

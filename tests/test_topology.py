@@ -4,21 +4,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropbetti.corpus import random_system
-from tropbetti.prevariety import cells_via_arrangement, connected_components
-from tropbetti.realize import gen_grid_example
+from tropbetti.corpus import complex_corpus, random_system
+from tropbetti.exactgeom import HPolyhedron, InvariantError
+from tropbetti.prevariety import PrevarietyComplex, cells_via_arrangement, connected_components
+from tropbetti.realize import ComplexDescription, complex_prevariety, gen_grid_example
 from tropbetti.topology import (
     BettiVector,
     SimplicialComplex,
     betti,
     betti_of_complex,
-    bounded_subcomplex,
-    reduce_lineality,
     triangulate,
 )
 from tropbetti.tropical import LinForm, TropPoly, TropSystem
 
-from oracles import simplicial_betti
+from oracles import simplicial_betti, sliced_closures
+from strategies import small_systems
 
 
 def poly(*mons):
@@ -26,6 +26,22 @@ def poly(*mons):
 
 
 LINE = TropSystem(2, [poly(((0, 0), 0), ((0, 1), 0), ((1, 0), 0))])
+
+
+def _side(eq, lo, hi):
+    return HPolyhedron(2, [eq], [lo, hi])
+
+
+# the boundary of the unit square, acceptance criterion 6's circle
+SQUARE = ComplexDescription.make(
+    2,
+    [
+        _side(((0, 1), 0), ((1, 0), 0), ((-1, 0), -1)),
+        _side(((0, 1), 1), ((1, 0), 0), ((-1, 0), -1)),
+        _side(((1, 0), 0), ((0, 1), 0), ((0, -1), -1)),
+        _side(((1, 0), 1), ((0, 1), 0), ((0, -1), -1)),
+    ],
+)
 
 
 def test_betti_vector_basics():
@@ -72,51 +88,78 @@ def test_betti_matches_independent_rank_oracle(maximal):
 
 def test_reduce_lineality_line_in_plane():
     s = TropSystem(2, [poly(((0, 0), 0), ((1, 0), 0))])  # V = {x = 0}
-    [component] = connected_components(cells_via_arrangement(s))
-    d, reduced = reduce_lineality(component)
-    assert d == 1
-    assert len(reduced) == 1 and reduced[0].dim == 0
-    assert reduced[0].bounded
+    comp = cells_via_arrangement(s)
+    assert comp.lineality == (1,)
+    assert len(comp.cells) == 1 and comp.cells[0].dim - comp.lineality[0] == 0
+    assert comp.retract == (True,)
 
 
 def test_reduce_lineality_plane_in_space():
     s = TropSystem(3, [poly(((0, 0, 0), 0), ((1, 0, 0), 0))])  # V = {x = 0}
-    [component] = connected_components(cells_via_arrangement(s))
-    d, reduced = reduce_lineality(component)
-    assert d == 2
-    assert len(reduced) == 1 and reduced[0].dim == 0
+    comp = cells_via_arrangement(s)
+    assert comp.lineality == (2,)
+    assert len(comp.cells) == 1 and comp.cells[0].dim - comp.lineality[0] == 0
 
 
 def test_reduce_lineality_pointed_component_unchanged():
-    [component] = connected_components(cells_via_arrangement(LINE))
-    d, reduced = reduce_lineality(component)
-    assert d == 0
-    assert reduced == component
+    comp = cells_via_arrangement(LINE)
+    assert comp.lineality == (0,) * len(comp.cells)
+    assert sorted(c.dim for c in comp.cells) == [0, 1, 1, 1]
+
+
+def _retract(comp):
+    return [c for c, keep in zip(comp.cells, comp.retract) if keep]
 
 
 def test_bounded_subcomplex_tropical_line():
-    [component] = connected_components(cells_via_arrangement(LINE))
-    retract = bounded_subcomplex(component)
+    retract = _retract(cells_via_arrangement(LINE))
     assert len(retract) == 1
     assert retract[0].dim == 0
 
 
-def test_bounded_subcomplex_rejects_lines():
-    s = TropSystem(2, [poly(((0, 0), 0), ((1, 0), 0))])
-    [component] = connected_components(cells_via_arrangement(s))
-    with pytest.raises(ValueError):
-        bounded_subcomplex(component)
-
-
 def test_triangulate_single_point_and_grid():
-    [component] = connected_components(cells_via_arrangement(LINE))
-    sc = triangulate(bounded_subcomplex(component))
+    sc = triangulate(_retract(cells_via_arrangement(LINE)))
     assert betti(sc).b == (1,)
     comp = cells_via_arrangement(gen_grid_example(2, 2))
     total = BettiVector.make([])
     for component in connected_components(comp):
-        total = total + betti(triangulate(bounded_subcomplex(component)))
+        total = total + betti(triangulate([c for c in _retract(comp) if c in component]))
     assert total.b == (4,)
+
+
+def _assert_poset_matches_polyhedra(comp):
+    """Lineality and retract from the face poset agree with the closures."""
+    index = {cell.pattern: i for i, cell in enumerate(comp.cells)}
+    for component in connected_components(comp):
+        d, sliced = sliced_closures(component)
+        for cell, cut in zip(component, sliced):
+            i = index[cell.pattern]
+            assert comp.lineality[i] == d == len(cell.closure.lineality_basis())
+            assert comp.retract[i] == cut.is_bounded()
+            assert cell.closure.is_bounded() == (d == 0 and comp.retract[i])
+
+
+@given(small_systems())
+@settings(deadline=None, max_examples=200)
+def test_poset_lineality_and_retract_match_polyhedra(s):
+    _assert_poset_matches_polyhedra(cells_via_arrangement(s))
+
+
+@given(st.integers(0, 10**6))
+@settings(deadline=None, max_examples=15)
+def test_poset_lineality_and_retract_match_polyhedra_realized(seed):
+    [c] = complex_corpus(seed, 1, max_members=2)
+    _assert_poset_matches_polyhedra(cells_via_arrangement(complex_prevariety(c)))
+
+
+def test_retract_rejects_an_edge_without_two_ends(monkeypatch):
+    """A vertex of the square claimed to be an edge has no vertices."""
+    comp = cells_via_arrangement(complex_prevariety(SQUARE))
+    assert comp.lineality == (0,) * 8 and all(comp.retract)
+    vertex = next(c for c in comp.cells if c.dim == 0)
+    monkeypatch.setattr(vertex, "dim", 1)
+    with pytest.raises(InvariantError, match="^PrevarietyComplex: edge"):
+        PrevarietyComplex(comp.system, comp.cells)
 
 
 def test_betti_of_prevariety_examples():
@@ -136,10 +179,12 @@ def test_morse_inequality_and_euler_consistency():
         total = betti_of_complex(comp)
         assert total.total <= len(comp.cells)
         for component in connected_components(comp):
-            _, reduced = reduce_lineality(component)
-            retract = bounded_subcomplex(reduced)
-            b = betti(triangulate(retract))
-            euler_cells = sum((-1) ** c.dim for c in retract)
+            retract = [
+                (c, lin) for c, lin, keep in zip(comp.cells, comp.lineality, comp.retract)
+                if keep and c in component
+            ]
+            b = betti(triangulate([c for c, _ in retract]))
+            euler_cells = sum((-1) ** (c.dim - lin) for c, lin in retract)
             euler_betti = sum((-1) ** i * v for i, v in enumerate(b.b))
             assert euler_cells == euler_betti
 
