@@ -24,6 +24,19 @@ every flat, as the sign-vector oracle needs; ``covering_faces()`` walks
 only the covering ones, as the cells need, or filters ``faces()`` when
 that list is already there.
 
+Everything below the public hyperplanes runs in ``int`` arithmetic.  The
+walk reads hyperplane i as the integer row (N_i, O_i) = c_i (normal,
+offset), c_i the offset's denominator.  A positive factor per hyperplane
+changes neither the sign of its value at a point nor the ratio of that
+value to its rate of change along a direction, and the walk reads nothing
+else of it: signs, line crossings (-value / rate) and step lengths (the
+least |value| / |rate|).  So the faces, their dimensions and their
+witnesses are those of the rational hyperplanes.  A flat is keyed by its
+reduced echelon rows, each scaled to coprime integers with a positive
+pivot, which is as canonical as the rational reduced echelon form; points
+and witnesses are integer vectors over one denominator in lowest terms,
+and become ``Fraction`` vectors only in the finished faces.
+
 An arrangement caches its face lists, and each system owns its
 arrangement (``TropSystem.arrangement``), so the lists live exactly as
 long as the system; nothing is cached across systems.
@@ -33,6 +46,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -59,9 +73,6 @@ class Hyperplane:
     normal: tuple[int, ...]
     offset: Fraction
     sources: tuple[tuple[int, int, int], ...]
-
-    def value(self, x) -> Fraction:
-        return linalg.dot(self.normal, x) - self.offset
 
 
 class ArrFace:
@@ -99,6 +110,7 @@ class Arrangement:
         self.hyperplanes = tuple(hyperplanes)
         self.degenerate_pairs = tuple(degenerate_pairs)
         self._hp_polys = tuple(frozenset(i for i, _, _ in h.sources) for h in self.hyperplanes)
+        self._rows = tuple(_integer_row(h) for h in self.hyperplanes)
         self._cache: dict = {}
 
     @property
@@ -132,81 +144,145 @@ class Arrangement:
 
 
 def build_arrangement(system: TropSystem) -> Arrangement:
-    seen: dict[tuple[tuple[int, ...], Fraction], list[tuple[int, int, int]]] = {}
+    # (normal, offset numerator, offset denominator) -> source pairs
+    seen: dict[tuple[tuple[int, ...], int, int], list[tuple[int, int, int]]] = {}
     degenerate = []
     for i, f in enumerate(system.polys):
-        for j1, j2 in itertools.combinations(range(f.m), 2):
-            m1, m2 = f.monomials[j1], f.monomials[j2]
-            normal = linalg.vsub(m1.a, m2.a)
-            if linalg.is_zero_vec(normal):
+        mons = [(m.a, m.b.numerator, m.b.denominator) for m in f.monomials]
+        for (j1, (a1, p1, q1)), (j2, (a2, p2, q2)) in itertools.combinations(enumerate(mons), 2):
+            normal = [x - y for x, y in zip(a1, a2)]
+            g = math.gcd(*normal)
+            if g == 0:
                 degenerate.append((i, j1, j2))
                 continue
-            w, c = linalg.primitive(normal, allow_flip=True)
-            offset = c * (m2.b - m1.b)
-            seen.setdefault((w, offset), []).append((i, j1, j2))
-    hps = [Hyperplane(nrm, off, tuple(srcs)) for (nrm, off), srcs in seen.items()]
+            if next(x for x in normal if x) < 0:
+                g = -g
+            # offset (b2 - b1) / g in lowest terms, positive denominator
+            num, den = p2 * q1 - p1 * q2, q1 * q2 * g
+            if den < 0:
+                num, den = -num, -den
+            r = math.gcd(num, den)
+            seen.setdefault((tuple(x // g for x in normal), num // r, den // r), []).append((i, j1, j2))
+    hps = [Hyperplane(nrm, Fraction(num, den), tuple(srcs)) for (nrm, num, den), srcs in seen.items()]
     hps.sort(key=lambda h: (h.normal, h.offset))
     return Arrangement(system.n, system.k, hps, degenerate)
+
+
+def _integer_row(h: Hyperplane) -> tuple[tuple[int, ...], int]:
+    """(N, O) = c (normal, offset), c > 0 the offset's denominator."""
+    return tuple(h.offset.denominator * a for a in h.normal), h.offset.numerator
+
+
+def _dot(a, b) -> int:
+    return sum(map(operator.mul, a, b))
+
+
+def _eliminate(v, rows, pivots) -> list[int]:
+    """v with its entries in the pivot columns cleared by the integer rows,
+    without division: v <- r[p] v - v[p] r, row by row."""
+    for r, p in zip(rows, pivots):
+        if v[p]:
+            a, b = r[p], v[p]
+            v = [a * x - b * y for x, y in zip(v, r)]
+    return v
+
+
+def _primitive(v) -> tuple[int, ...]:
+    """A nonzero integer vector divided by the gcd of its entries."""
+    g = math.gcd(*v)
+    return tuple(x // g for x in v) if g > 1 else tuple(v)
+
+
+def _shifted(values, denom: int, num: int, den: int, slopes) -> tuple[tuple[int, ...], int]:
+    """values / denom + (num / den) * slopes, for den > 0, as integers over
+    one positive denominator in lowest terms."""
+    p = num * denom
+    out = [v * den + p * t for v, t in zip(values, slopes)]
+    denom *= den
+    g = math.gcd(denom, *out)
+    if g > 1:
+        return tuple(v // g for v in out), denom // g
+    return tuple(out), denom
 
 
 class _Flat:
     """Nonempty intersection of hyperplanes: an affine subspace.
 
-    The hyperplane values at ``base`` are ``base_values[i] / denom``.
+    ``rows`` are its reduced echelon rows (N | O), each coprime with a
+    positive entry in its pivot column ``pivots[j]``, and ``dirs`` are
+    coprime integer directions spanning it.  The base point is
+    ``base / denom``; the hyperplane rows take the values
+    ``base_values[i] / values_denom`` there.  ``split`` says whether some
+    hyperplane crosses the flat without containing it.
     """
 
-    __slots__ = ("key", "dim", "base", "dirs", "rows", "definers", "base_values", "denom")
-
-    def __init__(self, key, dim, base, dirs, rows, definers, base_values, denom):
-        self.key = key
-        self.dim = dim
-        self.base = base
-        self.dirs = dirs
-        self.rows = rows
-        self.definers = definers
-        self.base_values = base_values
-        self.denom = denom
-
-
-def _make_flat(n, rows, hps):
-    """Flat from equation rows (normal, offset), or None if empty."""
-    aug = [list(a) + [b] for a, b in rows]
-    red, pivots = linalg.rref(aug)
-    if n in pivots:
-        return None
-    return _finish_flat(n, red, hps)
-
-
-def _finish_flat(n, red, hps):
-    key = tuple(tuple(r) for r in red)
-    normals = [r[:n] for r in red]
-    base = linalg.solve(normals, [r[n] for r in red]) if red else tuple([Fraction(0)] * n)
-    # integer direction vectors keep the hot sign loops in int arithmetic
-    dirs = [linalg.primitive(u)[0] for u in linalg.nullspace(normals, n)]
-    red_rows = [(tuple(r[:n]), r[n]) for r in red]
-    (base_values,), denom = linalg._over_common_denominator([[h.value(base) for h in hps]])
-    definers = frozenset(
-        i
-        for i, h in enumerate(hps)
-        if base_values[i] == 0
-        and all(sum(a * b for a, b in zip(h.normal, u)) == 0 for u in dirs)
+    __slots__ = (
+        "dim", "rows", "pivots", "dirs", "base", "denom", "base_values", "values_denom", "definers", "split"
     )
-    return _Flat(key, n - len(red), base, dirs, red_rows, definers, base_values, denom)
+
+    def __init__(self, rows, pivots, dirs, base, denom, base_values, values_denom, definers):
+        self.dim = len(dirs)
+        self.rows = rows
+        self.pivots = pivots
+        self.dirs = dirs
+        self.base = base
+        self.denom = denom
+        self.base_values = base_values
+        self.values_denom = values_denom
+        self.definers = definers
+        self.split = False
 
 
-def _shifted(values, denom, step: Fraction, slopes) -> tuple[list[int], int]:
-    """values / denom + step * slopes, again over one reduced denominator."""
-    p, q = step.numerator * denom, step.denominator
-    out = [v * q + p * t for v, t in zip(values, slopes)]
-    denom *= q
-    g = math.gcd(denom, *out)
-    if g > 1:
-        out = [v // g for v in out]
-        denom //= g
-    return out, denom
+def _make_flat(n, rows, pivots, hrows):
+    """Flat of reduced echelon rows; its base has the free coordinates zero."""
+    denom = math.lcm(*(r[p] for r, p in zip(rows, pivots)))
+    base = [0] * n
+    for r, p in zip(rows, pivots):
+        base[p] = r[n] * (denom // r[p])
+    dirs = []
+    for f in range(n):
+        if f not in pivots:
+            u = [0] * n
+            u[f] = denom
+            for r, p in zip(rows, pivots):
+                u[p] = -r[f] * (denom // r[p])
+            dirs.append(_primitive(u))
+    base_values = tuple(_dot(a, base) - b * denom for a, b in hrows)
+    definers = frozenset(
+        i for i, (a, _) in enumerate(hrows) if base_values[i] == 0 and all(_dot(a, u) == 0 for u in dirs)
+    )
+    return _Flat(rows, pivots, dirs, tuple(base), denom, base_values, denom, definers)
 
 
-def _points_on_line(fl, hps, flats, keep):
+def _cut(n, fl, row):
+    """Reduced echelon rows and pivots of ``fl`` cut by a hyperplane row
+    (N, O) that crosses it.
+
+    The row is reduced against the flat's rows without division, scaled to
+    coprime integers with a positive pivot and substituted back into the
+    rows before it.  Each resulting row is the coprime, positive-pivot
+    multiple of a row of the rational reduced echelon form, so the rows
+    depend only on the flat, not on the equations that cut it out.
+    """
+    h = _eliminate(list(row[0]) + [row[1]], fl.rows, fl.pivots)
+    q = next(c for c, x in enumerate(h) if x)  # q < n, as the row crosses the flat
+    h = _primitive([-x for x in h] if h[q] < 0 else h)
+    rows, pivots = [], []
+    for r, p in zip(fl.rows, fl.pivots):
+        if q < p and q not in pivots:
+            rows.append(h)
+            pivots.append(q)
+        if r[q]:
+            r = _primitive(_eliminate(r, (h,), (q,)))
+        rows.append(r)
+        pivots.append(p)
+    if q not in pivots:
+        rows.append(h)
+        pivots.append(q)
+    return tuple(rows), tuple(pivots)
+
+
+def _points_on_line(fl, hrows, flats, keep):
     """Zero-dimensional flats on a line, grouped by crossing parameter.
 
     All hyperplanes through base + t*u either contain the line (so are
@@ -216,30 +292,35 @@ def _points_on_line(fl, hps, flats, keep):
     are computed: a point has no subflats, so nothing below needs it.
     """
     u = fl.dirs[0]
-    slopes = [sum(a * b for a, b in zip(h.normal, u)) for h in hps]
-    crossings: dict[Fraction, list[int]] = {}
+    slopes = [_dot(a, u) for a, _ in hrows]
+    crossings: dict[tuple[int, int], list[int]] = {}  # t = num / den in lowest terms
     for i, t in enumerate(slopes):
         if t != 0 and i not in fl.definers:
-            crossings.setdefault(Fraction(-fl.base_values[i], fl.denom * t), []).append(i)
+            num, den = -fl.base_values[i], fl.values_denom * t
+            if den < 0:
+                num, den = -num, -den
+            g = math.gcd(num, den)
+            crossings.setdefault((num // g, den // g), []).append(i)
+    fl.split = bool(crossings)
     out = []
-    for t, idxs in crossings.items():
+    for (num, den), idxs in crossings.items():
         definers = fl.definers | frozenset(idxs)
         if keep is not None and not keep(definers):
             continue
-        base = linalg.vadd(fl.base, linalg.vscale(t, u))
-        key = ("pt",) + tuple(base)
+        base, denom = _shifted(fl.base, fl.denom, num, den, u)
+        key = ("pt", denom) + base
         if key in flats:
             continue
-        values, denom = _shifted(fl.base_values, fl.denom, t, slopes)
-        pt = _Flat(key, 0, base, [], [], definers, values, denom)
+        values, values_denom = _shifted(fl.base_values, fl.values_denom, num, den, slopes)
+        pt = _Flat((), (), [], base, denom, values, values_denom, definers)
         flats[key] = pt
         out.append(pt)
     return out
 
 
-def _intersection_lattice(n, hps, keep=None):
-    start = _make_flat(n, [], hps)
-    flats = {start.key: start}
+def _intersection_lattice(n, hrows, keep=None):
+    start = _make_flat(n, (), (), hrows)
+    flats = {start.rows: start}  # flats by rows, points by ("pt", denom, *base)
     frontier = [start]
     while frontier:
         new = []
@@ -247,54 +328,59 @@ def _intersection_lattice(n, hps, keep=None):
             if fl.dim == 0:
                 continue
             if fl.dim == 1:
-                new.extend(_points_on_line(fl, hps, flats, keep))
+                new.extend(_points_on_line(fl, hrows, flats, keep))
                 continue
-            for i, h in enumerate(hps):
+            for i, row in enumerate(hrows):
                 if i in fl.definers:
                     continue
-                if all(sum(a * b for a, b in zip(h.normal, u)) == 0 for u in fl.dirs):
+                if all(_dot(row[0], u) == 0 for u in fl.dirs):
                     continue  # parallel to the flat: empty intersection
-                aug = [list(a) + [b] for a, b in fl.rows] + [list(h.normal) + [h.offset]]
-                red, pivots = linalg.rref(aug)
-                if n in pivots:
+                fl.split = True
+                rows, pivots = _cut(n, fl, row)
+                if rows in flats:
                     continue
-                key = tuple(tuple(r) for r in red)
-                if key in flats:
-                    continue
-                sub = _finish_flat(n, red, hps)
-                flats[key] = sub
+                sub = _make_flat(n, rows, pivots, hrows)
+                flats[rows] = sub
                 new.append(sub)
         frontier = new
     return flats
 
 
+def _first_outside_span(vectors, spanning):
+    """The first of the integer ``vectors`` outside the span of ``spanning``.
+
+    ``spanning`` is brought to integer echelon form without division; a
+    vector lies in the span exactly when it reduces to zero.
+    """
+    rows: list[list[int]] = []
+    pivots: list[int] = []
+    for v in spanning:
+        w = _eliminate(v, rows, pivots)
+        p = next((c for c, x in enumerate(w) if x), None)
+        if p is not None:
+            rows.append(w)
+            pivots.append(p)
+    return next(v for v in vectors if any(_eliminate(v, rows, pivots)))
+
+
 class _FaceRec:
     """A face on ``flat`` that faces one dimension up step off.
 
-    The hyperplane values at its witness are ``values[i] / denom``,
-    integers over one positive denominator, so the hot loops stay in int
-    arithmetic.
+    Its witness is ``witness / denom`` and the hyperplane rows take the
+    values ``values[i] / values_denom`` there, all integers over positive
+    denominators.
     """
 
-    __slots__ = ("signs", "zero_set", "witness", "values", "denom", "flat")
+    __slots__ = ("signs", "zero_set", "witness", "denom", "values", "values_denom", "flat")
 
-    def __init__(self, signs, zero_set, witness, values, denom, flat):
+    def __init__(self, signs, zero_set, witness, denom, values, values_denom, flat):
         self.signs = signs
         self.zero_set = zero_set
         self.witness = witness
-        self.values = values
         self.denom = denom
+        self.values = values
+        self.values_denom = values_denom
         self.flat = flat
-
-
-def _in_span(v, red, pivots):
-    """Whether v lies in the row space captured by (rref rows, pivots)."""
-    w = list(v)
-    for row, p in zip(red, pivots):
-        if w[p] != 0:
-            f = w[p]
-            w = [x - f * y for x, y in zip(w, row)]
-    return all(x == 0 for x in w)
 
 
 def enumerate_faces(arrangement: Arrangement, covering: bool = False) -> tuple[ArrFace, ...]:
@@ -305,24 +391,25 @@ def enumerate_faces(arrangement: Arrangement, covering: bool = False) -> tuple[A
     flats that cover every polynomial are walked, which yields exactly
     the faces among those whose zero sets cover every polynomial.
     """
-    n, hps = arrangement.n, arrangement.hyperplanes
+    n, hrows = arrangement.n, arrangement._rows
     keep = arrangement.covers if covering else None
     by_dim: dict[int, list[_Flat]] = {}
-    for fl in _intersection_lattice(n, hps, keep).values():
+    for fl in _intersection_lattice(n, hrows, keep).values():
         if keep is None or keep(fl.definers):
             by_dim.setdefault(fl.dim, []).append(fl)
 
-    found: dict[tuple[int, ...], tuple[int, tuple[Fraction, ...]]] = {}
+    # sign vector -> (dim, witness numerators, witness denominator)
+    found: dict[tuple[int, ...], tuple[int, tuple[int, ...], int]] = {}
     recs_by_dim: dict[int, list[_FaceRec]] = {}
 
     def add_flat_face(fl):
         signs = tuple(_sign(v) for v in fl.base_values)
         if signs in found:
             return
-        found[signs] = (fl.dim, fl.base)
+        found[signs] = (fl.dim, fl.base, fl.denom)
         if fl.dim < n:  # top-dimensional faces seed nothing further
             zero_set = frozenset(i for i, s in enumerate(signs) if s == 0)
-            rec = _FaceRec(signs, zero_set, fl.base, fl.base_values, fl.denom, fl)
+            rec = _FaceRec(signs, zero_set, fl.base, fl.denom, fl.base_values, fl.values_denom, fl)
             recs_by_dim.setdefault(fl.dim, []).append(rec)
 
     for d in range(0, n + 1):
@@ -335,11 +422,7 @@ def enumerate_faces(arrangement: Arrangement, covering: bool = False) -> tuple[A
             for i in rec.zero_set:
                 members_by_hp.setdefault(i, []).append(rec)
         for fl in level:
-            if d == 0 or not any(
-                i not in fl.definers
-                and any(sum(a * b for a, b in zip(h.normal, u)) != 0 for u in fl.dirs)
-                for i, h in enumerate(hps)
-            ):
+            if not fl.split:
                 # Nothing splits the flat: it is a single face outright.
                 add_flat_face(fl)
                 continue
@@ -354,11 +437,9 @@ def enumerate_faces(arrangement: Arrangement, covering: bool = False) -> tuple[A
                 # rec spans a hyperplane within fl; step off it both ways.
                 u = off_facet.get(id(rec.flat))
                 if u is None:
-                    dirs = [list(v) for v in rec.flat.dirs]
-                    red, pivots = linalg.rref(dirs) if dirs else ([], [])
-                    u = off_facet[id(rec.flat)] = next(v for v in fl.dirs if not _in_span(v, red, pivots))
+                    u = off_facet[id(rec.flat)] = _first_outside_span(fl.dirs, rec.flat.dirs)
                 if u not in tu_by_dir:
-                    tu = [sum(a * b for a, b in zip(h.normal, u)) for h in hps]
+                    tu = [_dot(a, u) for a, _ in hrows]
                     tu_by_dir[u] = tu, [_sign(x) for x in tu]
                 tu, tu_signs = tu_by_dir[u]
                 eps = None
@@ -373,17 +454,20 @@ def enumerate_faces(arrangement: Arrangement, covering: bool = False) -> tuple[A
                         for v, t in zip(rec.values, tu):
                             if v and t and (not near_t or abs(v) * near_t < near_v * abs(t)):
                                 near_v, near_t = abs(v), abs(t)
-                        eps = Fraction(near_v, 2 * rec.denom * near_t) if near_t else Fraction(1)
-                    step = s * eps
-                    witness = linalg.vadd(rec.witness, linalg.vscale(step, u))
-                    found[signs] = (d, witness)
+                        eps = (near_v, 2 * rec.values_denom * near_t) if near_t else (1, 1)
+                    num, den = s * eps[0], eps[1]
+                    witness, denom = _shifted(rec.witness, rec.denom, num, den, u)
+                    found[signs] = (d, witness, denom)
                     if d < n:
-                        values, denom = _shifted(rec.values, rec.denom, step, tu)
+                        values, values_denom = _shifted(rec.values, rec.values_denom, num, den, tu)
                         zero_set = frozenset(i for i, sg in enumerate(signs) if sg == 0)
                         recs_by_dim.setdefault(d, []).append(
-                            _FaceRec(signs, zero_set, witness, values, denom, fl)
+                            _FaceRec(signs, zero_set, witness, denom, values, values_denom, fl)
                         )
 
-    faces = [ArrFace(signs, dim, w) for signs, (dim, w) in found.items()]
+    faces = [
+        ArrFace(signs, dim, tuple(Fraction(x, denom) for x in witness))
+        for signs, (dim, witness, denom) in found.items()
+    ]
     faces.sort(key=lambda f: f.signs)
     return tuple(faces)

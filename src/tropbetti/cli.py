@@ -76,7 +76,9 @@ def _ambient(doc) -> int:
 def parse_system(text: bytes) -> TropSystem:
     doc = _load_json(text)
     n = _ambient(doc)
-    laurent = bool(doc.get("laurent", False))
+    laurent = doc.get("laurent", False)
+    if not isinstance(laurent, bool):
+        raise InputError('field "laurent" must be true or false')
     polys_doc = doc.get("polys")
     if not isinstance(polys_doc, list) or not polys_doc:
         raise InputError('field "polys" must be a nonempty list')

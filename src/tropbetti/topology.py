@@ -4,7 +4,8 @@ A connected component is L x (its slice by L-perp), L the lineality space
 of its cells, and the slice retracts onto the cells bounded modulo L, which
 ``PrevarietyComplex.retract`` reads from the face poset; no polyhedron is
 built here.  Each component's retract is triangulated as the order complex
-of its face poset, and homology ranks come from exact rational ranks.
+of its face poset, read from the complex's face relation, and homology
+ranks come from exact rational ranks.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import linalg
-from .prevariety import PrevarietyCell, PrevarietyComplex, connected_components
+from .prevariety import PrevarietyComplex
 
 
 @dataclass(frozen=True)
@@ -71,28 +72,29 @@ class SimplicialComplex:
         return out
 
 
-def triangulate(cells: list[PrevarietyCell]) -> SimplicialComplex:
-    """Order complex of the face poset: the barycentric subdivision.
+def triangulate(c: PrevarietyComplex, members) -> SimplicialComplex:
+    """Order complex of the face poset on the cells ``members`` (indices
+    into ``c.cells``): the barycentric subdivision.
 
-    The cells are bounded modulo lineality (``PrevarietyComplex.retract``).
-    As in ``PrevarietyComplex.incidence``, a cell lies in the closure of
-    another exactly when its tie pattern is a proper superset.
+    The members are bounded modulo lineality (``PrevarietyComplex.retract``),
+    and their faces among each other come from ``c.faces``.  A maximal chain
+    runs from a member that is no other member's face down covering
+    relations to a member without faces; its vertices are cell indices.
     """
-    comparable = [
-        [a is b or a.pattern < b.pattern or b.pattern < a.pattern for b in cells] for a in cells
-    ]
+    inside = set(members)
+    below = {a: {b for b in c.faces[a] if b != a and b in inside} for a in inside}
+    covers = {a: [b for b in bs if not any(b in below[x] for x in bs)] for a, bs in below.items()}
     maximal: list[tuple[int, ...]] = []
 
-    def extend(chain: list[int], candidates: list[int]):
-        grew = False
-        for v in candidates:
-            if all(comparable[v][u] for u in chain):
-                extend(chain + [v], [w for w in candidates if w > v])
-                grew = True
-        if not grew and chain:
-            maximal.append(tuple(chain))
+    def descend(chain: tuple[int, ...]):
+        if not covers[chain[-1]]:
+            maximal.append(chain)
+        for b in covers[chain[-1]]:
+            descend(chain + (b,))
 
-    extend([], list(range(len(cells))))
+    faces_of_others = set().union(*below.values())
+    for a in inside - faces_of_others:
+        descend((a,))
     return SimplicialComplex.from_maximal(maximal)
 
 
@@ -121,8 +123,11 @@ def betti(sc: SimplicialComplex) -> BettiVector:
 
 
 def betti_of_complex(c: PrevarietyComplex) -> BettiVector:
-    keep = {cell.pattern for cell, retract in zip(c.cells, c.retract) if retract}
+    retract_by_component: dict[int, list[int]] = {}
+    for i, (label, retract) in enumerate(zip(c.component_labels, c.retract)):
+        if retract:
+            retract_by_component.setdefault(label, []).append(i)
     total = BettiVector.make([])
-    for component in connected_components(c):
-        total = total + betti(triangulate([cell for cell in component if cell.pattern in keep]))
+    for members in retract_by_component.values():
+        total = total + betti(triangulate(c, members))
     return total

@@ -29,9 +29,11 @@ Each oracle deliberately avoids the code path it is used to check:
   complement of the component's lineality space, found as a nullspace of
   all closure normals; ``PrevarietyComplex.lineality`` and ``retract``
   read the same answers from the face poset and build no polyhedron.
-- ``sign_vector`` evaluates every hyperplane at a point, and ``face_at``
-  picks the enumerated face with that sign vector; the enumeration under
-  test steps between faces and never evaluates at an arbitrary point.
+- ``sign_vector`` evaluates every rational hyperplane at a point
+  (``hyperplane_value``), and ``face_at`` picks the enumerated face with
+  that sign vector; the enumeration under test reads integer rows scaled
+  per hyperplane, steps between faces and never evaluates at an arbitrary
+  point.
 """
 
 from __future__ import annotations
@@ -214,9 +216,15 @@ def sliced_closures(component) -> tuple[int, list]:
     return len(basis), sliced
 
 
+def hyperplane_value(h, x) -> Fraction:
+    """normal.x - offset of a public ``Hyperplane``, in rational arithmetic."""
+    return linalg.dot(h.normal, x) - h.offset
+
+
 def sign_vector(arr, x) -> tuple[int, ...]:
-    """Sign of every hyperplane's value at x."""
-    values = [h.value(tuple(Fraction(c) for c in x)) for h in arr.hyperplanes]
+    """Sign of every hyperplane's value at x, from the rational hyperplanes;
+    the enumeration under test reads integer rows scaled per hyperplane."""
+    values = [hyperplane_value(h, tuple(Fraction(c) for c in x)) for h in arr.hyperplanes]
     return tuple((v > 0) - (v < 0) for v in values)
 
 

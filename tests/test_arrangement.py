@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -7,10 +8,13 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import face_digests
 import tropbetti
-from tropbetti.arrangement import Arrangement, build_arrangement, enumerate_faces
+from tropbetti import linalg
+from tropbetti.arrangement import Arrangement, Hyperplane, build_arrangement, enumerate_faces
 from tropbetti.corpus import random_system, system_corpus
 from tropbetti.exactgeom import HPolyhedron
+from tropbetti.realize import ComplexDescription, complex_prevariety, gen_grid_example
 from tropbetti.tropical import LinForm, TropPoly, TropSystem
 
 from oracles import face_at, sign_vector, sign_vectors_bruteforce
@@ -214,6 +218,69 @@ def test_covering_enumeration_on_corpus():
 @settings(deadline=None, max_examples=80)
 def test_covering_enumeration_random(s):
     assert_covering_enumeration_matches(s)
+
+
+# ------------------------------------------------- pinned face lists
+
+
+def face_digest(faces) -> str:
+    """SHA-256 of the (signs, dim, witness) list, as in ``face_digests``."""
+    text = "\n".join(
+        "".join("0+-"[s] for s in f.signs) + f" {f.dim} " + " ".join(str(x) for x in f.witness) for f in faces
+    )
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def realized_square() -> TropSystem:
+    """The realized square (a circle) of acceptance criterion 6."""
+
+    def seg(eqs, ineqs):
+        return HPolyhedron(2, eqs, ineqs)
+
+    return complex_prevariety(
+        ComplexDescription.make(
+            2,
+            [
+                seg([((0, 1), 0)], [((1, 0), 0), ((-1, 0), -1)]),
+                seg([((0, 1), 1)], [((1, 0), 0), ((-1, 0), -1)]),
+                seg([((1, 0), 0)], [((0, 1), 0), ((0, -1), -1)]),
+                seg([((1, 0), 1)], [((0, 1), 0), ((0, -1), -1)]),
+            ],
+        )
+    )
+
+
+def test_face_lists_match_pinned_digests():
+    """Signs, dimensions and stepped witnesses are byte for byte as pinned."""
+    corpus = system_corpus(face_digests.CORPUS_SEED, face_digests.CORPUS_COUNT)
+    covering = [face_digest(build_arrangement(s).covering_faces()) for s in corpus]
+    assert covering == list(face_digests.COVERING)
+    full = {}
+    for i, s in enumerate(corpus):
+        arr = build_arrangement(s)
+        if arr.ell <= face_digests.MAX_FULL_ELL:
+            full[i] = face_digest(arr.faces())
+    assert full == face_digests.FULL
+    assert face_digest(build_arrangement(gen_grid_example(3, 3)).covering_faces()) == face_digests.GRID_3_3
+    assert face_digest(build_arrangement(realized_square()).covering_faces()) == face_digests.SQUARE
+
+
+def test_arrangement_runs_without_rational_linear_algebra(monkeypatch):
+    """Build, lattice and stepping run in integer arithmetic, with no
+    Fraction echelon, solve, kernel or primitive scaling and no
+    per-hyperplane evaluation."""
+    systems = [gen_grid_example(3, 3), realized_square()] + system_corpus(face_digests.CORPUS_SEED, 10)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("rational linear algebra in the arrangement layer")
+
+    for name in ("rref", "solve", "nullspace", "primitive"):
+        monkeypatch.setattr(linalg, name, refuse)
+    # the package no longer defines Hyperplane.value; it must not come back
+    monkeypatch.setattr(Hyperplane, "value", refuse, raising=False)
+    for s in systems:
+        assert build_arrangement(s).faces()
+        build_arrangement(s).covering_faces()
 
 
 # ------------------------------------------------------------ guards

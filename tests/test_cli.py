@@ -81,6 +81,16 @@ def test_parse_system_laurent_flag_allows_negative():
     assert s.polys[0].laurent
 
 
+def test_parse_system_laurent_flag_must_be_boolean(capsys, monkeypatch):
+    for flag in ('"false"', '"true"', "0", "1", "null", "[]"):
+        with pytest.raises(InputError, match='"laurent" must be true or false'):
+            parse_system(f'{{"n":1,"laurent":{flag},"polys":[[[[0],"0"],[[1],"1"]]]}}'.encode())
+    doc = '{"n":1,"laurent":"false","polys":[[[[-1],"0"],[[0],"1"]]]}'
+    code, out, err = run(capsys, ["cells", "-"], doc, monkeypatch)
+    assert code == 1 and out == "" and '"laurent"' in err
+    assert not parse_system(b'{"n":1,"laurent":false,"polys":[[[[0],"0"],[[1],"1"]]]}').polys[0].laurent
+
+
 def test_parse_system_schema_errors():
     with pytest.raises(InputError, match="invalid JSON"):
         parse_system(b"{")

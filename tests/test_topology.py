@@ -111,6 +111,15 @@ def _retract(comp):
     return [c for c, keep in zip(comp.cells, comp.retract) if keep]
 
 
+def _retract_members(comp, component=None):
+    """Indices of the retract cells, within one component if given."""
+    return [
+        i
+        for i, (c, keep) in enumerate(zip(comp.cells, comp.retract))
+        if keep and (component is None or c in component)
+    ]
+
+
 def test_bounded_subcomplex_tropical_line():
     retract = _retract(cells_via_arrangement(LINE))
     assert len(retract) == 1
@@ -118,13 +127,47 @@ def test_bounded_subcomplex_tropical_line():
 
 
 def test_triangulate_single_point_and_grid():
-    sc = triangulate(_retract(cells_via_arrangement(LINE)))
+    line = cells_via_arrangement(LINE)
+    sc = triangulate(line, _retract_members(line))
     assert betti(sc).b == (1,)
     comp = cells_via_arrangement(gen_grid_example(2, 2))
     total = BettiVector.make([])
     for component in connected_components(comp):
-        total = total + betti(triangulate([c for c in _retract(comp) if c in component]))
+        total = total + betti(triangulate(comp, _retract_members(comp, component)))
     assert total.b == (4,)
+
+
+def _chains_by_patterns(comp, members):
+    """Every nonempty chain of the members under proper pattern inclusion."""
+    chains = set()
+
+    def extend(chain, rest):
+        if chain:
+            chains.add(frozenset(chain))
+        for v in rest:
+            pv = comp.cells[v].pattern
+            if all(pv < comp.cells[u].pattern or comp.cells[u].pattern < pv for u in chain):
+                extend(chain + [v], [w for w in rest if w > v])
+
+    extend([], list(members))
+    return chains
+
+
+def _assert_triangulation_matches_patterns(comp):
+    for component in connected_components(comp):
+        members = _retract_members(comp, component)
+        assert triangulate(comp, members).simplices == _chains_by_patterns(comp, members)
+
+
+@given(small_systems())
+@settings(deadline=None, max_examples=100)
+def test_triangulate_reads_the_chains_of_pattern_inclusion(s):
+    _assert_triangulation_matches_patterns(cells_via_arrangement(s))
+
+
+def test_triangulate_square_and_grid_chains():
+    for s in (complex_prevariety(SQUARE), gen_grid_example(2, 2)):
+        _assert_triangulation_matches_patterns(cells_via_arrangement(s))
 
 
 def _assert_poset_matches_polyhedra(comp):
@@ -183,7 +226,7 @@ def test_morse_inequality_and_euler_consistency():
                 (c, lin) for c, lin, keep in zip(comp.cells, comp.lineality, comp.retract)
                 if keep and c in component
             ]
-            b = betti(triangulate([c for c, _ in retract]))
+            b = betti(triangulate(comp, _retract_members(comp, component)))
             euler_cells = sum((-1) ** (c.dim - lin) for c, lin in retract)
             euler_betti = sum((-1) ** i * v for i, v in enumerate(b.b))
             assert euler_cells == euler_betti
