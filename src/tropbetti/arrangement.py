@@ -31,11 +31,14 @@ changes neither the sign of its value at a point nor the ratio of that
 value to its rate of change along a direction, and the walk reads nothing
 else of it: signs, line crossings (-value / rate) and step lengths (the
 least |value| / |rate|).  So the faces, their dimensions and their
-witnesses are those of the rational hyperplanes.  A flat is keyed by its
-reduced echelon rows, each scaled to coprime integers with a positive
-pivot, which is as canonical as the rational reduced echelon form; points
-and witnesses are integer vectors over one denominator in lowest terms,
-and become ``Fraction`` vectors only in the finished faces.
+witnesses are those of the rational hyperplanes.  The linear algebra is
+``linalg``'s integer elimination: a flat is keyed by its reduced echelon
+rows (N | O), each coprime with a positive pivot, which are as canonical
+as the rational reduced echelon form; a hyperplane that crosses the flat
+extends them by one row (``linalg.reduce_into``), and the flat's base
+point and directions are their integer solution and kernel.  Points and
+witnesses are integer vectors over one denominator in lowest terms, and
+become ``Fraction`` vectors only in the finished faces.
 
 An arrangement caches its face lists, and each system owns its
 arrangement (``TropSystem.arrangement``), so the lists live exactly as
@@ -46,7 +49,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -150,19 +152,19 @@ def build_arrangement(system: TropSystem) -> Arrangement:
     for i, f in enumerate(system.polys):
         mons = [(m.a, m.b.numerator, m.b.denominator) for m in f.monomials]
         for (j1, (a1, p1, q1)), (j2, (a2, p2, q2)) in itertools.combinations(enumerate(mons), 2):
-            normal = [x - y for x, y in zip(a1, a2)]
-            g = math.gcd(*normal)
-            if g == 0:
+            diff = [x - y for x, y in zip(a1, a2)]
+            q = next((c for c, x in enumerate(diff) if x), None)
+            if q is None:
                 degenerate.append((i, j1, j2))
                 continue
-            if next(x for x in normal if x) < 0:
-                g = -g
-            # offset (b2 - b1) / g in lowest terms, positive denominator
-            num, den = p2 * q1 - p1 * q2, q1 * q2 * g
+            normal = linalg.primitive(diff if diff[q] > 0 else [-x for x in diff])
+            # diff = g normal, so the tie is normal.x = (b2 - b1) / g, put
+            # in lowest terms with a positive denominator
+            num, den = p2 * q1 - p1 * q2, q1 * q2 * (diff[q] // normal[q])
             if den < 0:
                 num, den = -num, -den
             r = math.gcd(num, den)
-            seen.setdefault((tuple(x // g for x in normal), num // r, den // r), []).append((i, j1, j2))
+            seen.setdefault((normal, num // r, den // r), []).append((i, j1, j2))
     hps = [Hyperplane(nrm, Fraction(num, den), tuple(srcs)) for (nrm, num, den), srcs in seen.items()]
     hps.sort(key=lambda h: (h.normal, h.offset))
     return Arrangement(system.n, system.k, hps, degenerate)
@@ -173,36 +175,12 @@ def _integer_row(h: Hyperplane) -> tuple[tuple[int, ...], int]:
     return tuple(h.offset.denominator * a for a in h.normal), h.offset.numerator
 
 
-def _dot(a, b) -> int:
-    return sum(map(operator.mul, a, b))
-
-
-def _eliminate(v, rows, pivots) -> list[int]:
-    """v with its entries in the pivot columns cleared by the integer rows,
-    without division: v <- r[p] v - v[p] r, row by row."""
-    for r, p in zip(rows, pivots):
-        if v[p]:
-            a, b = r[p], v[p]
-            v = [a * x - b * y for x, y in zip(v, r)]
-    return v
-
-
-def _primitive(v) -> tuple[int, ...]:
-    """A nonzero integer vector divided by the gcd of its entries."""
-    g = math.gcd(*v)
-    return tuple(x // g for x in v) if g > 1 else tuple(v)
-
-
 def _shifted(values, denom: int, num: int, den: int, slopes) -> tuple[tuple[int, ...], int]:
     """values / denom + (num / den) * slopes, for den > 0, as integers over
     one positive denominator in lowest terms."""
     p = num * denom
-    out = [v * den + p * t for v, t in zip(values, slopes)]
-    denom *= den
-    g = math.gcd(denom, *out)
-    if g > 1:
-        return tuple(v // g for v in out), denom // g
-    return tuple(out), denom
+    w = linalg.primitive([v * den + p * t for v, t in zip(values, slopes)] + [denom * den])
+    return w[:-1], w[-1]
 
 
 class _Flat:
@@ -235,51 +213,12 @@ class _Flat:
 
 def _make_flat(n, rows, pivots, hrows):
     """Flat of reduced echelon rows; its base has the free coordinates zero."""
-    denom = math.lcm(*(r[p] for r, p in zip(rows, pivots)))
-    base = [0] * n
-    for r, p in zip(rows, pivots):
-        base[p] = r[n] * (denom // r[p])
-    dirs = []
-    for f in range(n):
-        if f not in pivots:
-            u = [0] * n
-            u[f] = denom
-            for r, p in zip(rows, pivots):
-                u[p] = -r[f] * (denom // r[p])
-            dirs.append(_primitive(u))
-    base_values = tuple(_dot(a, base) - b * denom for a, b in hrows)
+    base, denom, dirs = linalg.solution_and_kernel(rows, pivots, n)
+    base_values = tuple(linalg.dot(a, base) - b * denom for a, b in hrows)
     definers = frozenset(
-        i for i, (a, _) in enumerate(hrows) if base_values[i] == 0 and all(_dot(a, u) == 0 for u in dirs)
+        i for i, (a, _) in enumerate(hrows) if base_values[i] == 0 and all(linalg.dot(a, u) == 0 for u in dirs)
     )
-    return _Flat(rows, pivots, dirs, tuple(base), denom, base_values, denom, definers)
-
-
-def _cut(n, fl, row):
-    """Reduced echelon rows and pivots of ``fl`` cut by a hyperplane row
-    (N, O) that crosses it.
-
-    The row is reduced against the flat's rows without division, scaled to
-    coprime integers with a positive pivot and substituted back into the
-    rows before it.  Each resulting row is the coprime, positive-pivot
-    multiple of a row of the rational reduced echelon form, so the rows
-    depend only on the flat, not on the equations that cut it out.
-    """
-    h = _eliminate(list(row[0]) + [row[1]], fl.rows, fl.pivots)
-    q = next(c for c, x in enumerate(h) if x)  # q < n, as the row crosses the flat
-    h = _primitive([-x for x in h] if h[q] < 0 else h)
-    rows, pivots = [], []
-    for r, p in zip(fl.rows, fl.pivots):
-        if q < p and q not in pivots:
-            rows.append(h)
-            pivots.append(q)
-        if r[q]:
-            r = _primitive(_eliminate(r, (h,), (q,)))
-        rows.append(r)
-        pivots.append(p)
-    if q not in pivots:
-        rows.append(h)
-        pivots.append(q)
-    return tuple(rows), tuple(pivots)
+    return _Flat(rows, pivots, dirs, base, denom, base_values, denom, definers)
 
 
 def _points_on_line(fl, hrows, flats, keep):
@@ -292,7 +231,7 @@ def _points_on_line(fl, hrows, flats, keep):
     are computed: a point has no subflats, so nothing below needs it.
     """
     u = fl.dirs[0]
-    slopes = [_dot(a, u) for a, _ in hrows]
+    slopes = [linalg.dot(a, u) for a, _ in hrows]
     crossings: dict[tuple[int, int], list[int]] = {}  # t = num / den in lowest terms
     for i, t in enumerate(slopes):
         if t != 0 and i not in fl.definers:
@@ -333,10 +272,10 @@ def _intersection_lattice(n, hrows, keep=None):
             for i, row in enumerate(hrows):
                 if i in fl.definers:
                     continue
-                if all(_dot(row[0], u) == 0 for u in fl.dirs):
+                if all(linalg.dot(row[0], u) == 0 for u in fl.dirs):
                     continue  # parallel to the flat: empty intersection
                 fl.split = True
-                rows, pivots = _cut(n, fl, row)
+                rows, pivots = linalg.reduce_into(fl.rows, fl.pivots, row[0] + (row[1],))
                 if rows in flats:
                     continue
                 sub = _make_flat(n, rows, pivots, hrows)
@@ -347,20 +286,10 @@ def _intersection_lattice(n, hrows, keep=None):
 
 
 def _first_outside_span(vectors, spanning):
-    """The first of the integer ``vectors`` outside the span of ``spanning``.
-
-    ``spanning`` is brought to integer echelon form without division; a
-    vector lies in the span exactly when it reduces to zero.
-    """
-    rows: list[list[int]] = []
-    pivots: list[int] = []
-    for v in spanning:
-        w = _eliminate(v, rows, pivots)
-        p = next((c for c, x in enumerate(w) if x), None)
-        if p is not None:
-            rows.append(w)
-            pivots.append(p)
-    return next(v for v in vectors if any(_eliminate(v, rows, pivots)))
+    """The first of the integer ``vectors`` outside the span of ``spanning``:
+    the first that the echelon rows of ``spanning`` do not eliminate to zero."""
+    rows, pivots = linalg.echelon(spanning)
+    return next(v for v in vectors if any(linalg.eliminate(v, rows, pivots)))
 
 
 class _FaceRec:
@@ -439,7 +368,7 @@ def enumerate_faces(arrangement: Arrangement, covering: bool = False) -> tuple[A
                 if u is None:
                     u = off_facet[id(rec.flat)] = _first_outside_span(fl.dirs, rec.flat.dirs)
                 if u not in tu_by_dir:
-                    tu = [_dot(a, u) for a, _ in hrows]
+                    tu = [linalg.dot(a, u) for a, _ in hrows]
                     tu_by_dir[u] = tu, [_sign(x) for x in tu]
                 tu, tu_signs = tu_by_dir[u]
                 eps = None

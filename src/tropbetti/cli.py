@@ -237,7 +237,9 @@ def check_system(s: TropSystem, oracle: bool = False) -> dict:
     cross_ok = sorted((c.pattern.pairs, c.dim) for c in comp.cells) == sorted(
         (d.pattern.pairs, d.dim) for d in duals
     )
-    duality_ok = all(f.dim + g.dim == s.n for f, g in zip(trop, duals))
+    # dim F + dim G(F) = n, with dim G(F) read from route 1's cell
+    dims = {c.pattern: c.dim for c in comp.cells}
+    duality_ok = all(f.pattern in dims and f.dim + dims[f.pattern] == s.n for f in trop)
     report["cross_method_ok"] = cross_ok
     report["duality_ok"] = duality_ok
 
@@ -368,7 +370,11 @@ def _cmd_realize(args) -> tuple[dict, int]:
 
 def _cmd_gen(args) -> tuple[object, int]:
     if args.kind == "grid":
-        return serialize_system(gen_grid_example(args.n, args.m)), 0
+        try:
+            s = gen_grid_example(args.n, args.m)
+        except ValueError as e:
+            raise InputError(str(e)) from None
+        return serialize_system(s), 0
     docs = [serialize_system(s) for s in system_corpus(args.seed, args.count)]
     if args.dir:
         out = Path(args.dir)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -126,14 +125,14 @@ class RadVal:
         return f"RadVal({self.q}*sqrt({self.s}))"
 
 
-def _canon_eq_row(a, b):
-    w, c = linalg.primitive(a, allow_flip=True)
-    return w, Fraction(b) * c
-
-
-def _canon_ineq_row(a, b):
-    w, c = linalg.primitive(a, allow_flip=False)
-    return w, Fraction(b) * c
+def _canon_row(a, b, flip: bool):
+    """(w, c b) for the coprime integer normal w = c a, with c > 0, or with
+    ``flip`` the sign of c that makes w's first nonzero entry positive."""
+    w = linalg.primitive(linalg.integral_rows([a])[0])
+    q = next(i for i, x in enumerate(w) if x)
+    if flip and w[q] < 0:
+        w = tuple(-x for x in w)
+    return w, Fraction(b) * w[q] / a[q]
 
 
 @dataclass(frozen=True)
@@ -165,7 +164,7 @@ class HPolyhedron:
                 if Fraction(b) != 0:
                     forced_empty = True
                 continue
-            eqs.append(_canon_eq_row(a, b))
+            eqs.append(_canon_row(a, b, True))
         for a, b in inequalities:
             a = tuple(Fraction(v) for v in a)
             if len(a) != n:
@@ -174,7 +173,7 @@ class HPolyhedron:
                 if Fraction(b) > 0:
                     forced_empty = True
                 continue
-            ineqs.append(_canon_ineq_row(a, b))
+            ineqs.append(_canon_row(a, b, False))
         self.eq = tuple(sorted(set(eqs)))
         self.ineq = tuple(sorted(set(ineqs)))
         self.forced_empty = forced_empty
@@ -274,21 +273,21 @@ class HPolyhedron:
         if self.is_empty():
             self._cache["bounded"] = True
             return True
-        normals = [list(a) for a, _ in self.eq] + [list(a) for a, _ in self.ineq]
-        if linalg.nullspace(normals, self.n):
+        if linalg.rank([a for a, _ in self.eq + self.ineq]) < self.n:
             self._cache["bounded"] = False
             return False
         # Recession cone {v : eq.v = 0, ineq.v >= 0}, written as {B y >= 0}
-        # in coordinates y of a basis of the equalities' kernel.  Scaling a
-        # row of B by a positive factor keeps the cone, so B is kept as
-        # distinct primitive rows.  Without lineality B has full column
-        # rank, so any y != 0 in the cone has sum(B) . y > 0.
-        kernel = linalg.nullspace([list(a) for a, _ in self.eq], self.n)
+        # in coordinates y of an integer basis of the equalities' kernel.
+        # Scaling a row of B by a positive factor keeps the cone, so B is
+        # kept as distinct primitive rows.  Without lineality B has full
+        # column rank, so any y != 0 in the cone has sum(B) . y > 0.
+        eq_rows, pivots = linalg.reduced_echelon((*a, 0) for a, _ in self.eq)
+        _, _, kernel = linalg.solution_and_kernel(eq_rows, pivots, self.n)
         rows = set()
         for a, _ in self.ineq:
             row = [linalg.dot(a, u) for u in kernel]
-            if not linalg.is_zero_vec(row):
-                rows.add(linalg.primitive(row)[0])
+            if any(row):
+                rows.add(linalg.primitive(row))
         if len(kernel) <= 1:
             # a point, or a line cut from both sides
             self._cache["bounded"] = len(rows) == 2 * len(kernel)
@@ -317,29 +316,22 @@ class HPolyhedron:
             form = CanonicalHRep(self.n, True)
             self._cache["canon"] = form
             return form
-        hull_rows = self.affine_hull_rows()
-        aug = [list(a) + [b] for a, b in hull_rows]
-        red, pivots = linalg.rref(aug) if aug else ([], [])
-        eq_rows = []
-        for row in red:
-            w, c = linalg.primitive(row, allow_flip=True)
-            eq_rows.append((w[: self.n], Fraction(w[self.n])))
-        # reduce inequalities modulo the affine hull rows
+        # The affine hull's reduced echelon rows (A | b), coprime with
+        # positive pivots: the rational reduced rows made primitive.
+        red, pivots = linalg.reduced_echelon(linalg.integral_rows((*a, b) for a, b in self.affine_hull_rows()))
+        eq_rows = [(row[: self.n], Fraction(row[self.n])) for row in red]
+        # reduce inequalities modulo the affine hull rows; elimination by a
+        # positive pivot scales the rational result by a positive factor
         implicit, _ = r
+        ineqs = [(*a, b) for i, (a, b) in enumerate(self.ineq) if i not in implicit]
         seen = set()
         reduced = []
-        for i, (a, b) in enumerate(self.ineq):
-            if i in implicit:
-                continue
-            row = [Fraction(v) for v in a] + [Fraction(b)]
-            for rrow, p in zip(red, pivots):
-                if row[p] != 0:
-                    f = row[p]
-                    row = [x - f * y for x, y in zip(row, rrow)]
+        for row in linalg.integral_rows(ineqs):
+            row = linalg.eliminate(row, red, pivots)
             normal, rhs = row[: self.n], row[self.n]
-            if linalg.is_zero_vec(normal):
+            if not any(normal):
                 continue
-            key = _canon_ineq_row(normal, rhs)
+            key = _canon_row(normal, rhs, False)
             if key not in seen:
                 seen.add(key)
                 reduced.append(key)
@@ -426,53 +418,6 @@ def minkowski_sum(a: VPolytope, b: VPolytope) -> VPolytope:
 # ------------------------------------------------ integer placing triangulation
 
 
-def _idot(a, b) -> int:
-    return sum(map(operator.mul, a, b))
-
-
-def _idet(rows) -> int:
-    """Determinant of a square integer matrix (fraction-free Bareiss).
-
-    Up to 3 x 3, the sizes of facet cofactors in up to four dimensions, it
-    is expanded directly.
-    """
-    if len(rows) <= 3:
-        if len(rows) < 2:
-            return rows[0][0] if rows else 1
-        if len(rows) == 2:
-            (a, b), (c, d) = rows
-            return a * d - b * c
-        (a, b, c), (d, e, f), (g, h, i) = rows
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    m = [list(row) for row in rows]
-    sign, prev = 1, 1
-    for k in range(len(m) - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, len(m)) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, len(m)):
-            for j in range(k + 1, len(m)):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[-1][-1] if m else 1
-
-
-def _echelon(vectors) -> list:
-    """Integer echelon basis, as (pivot, row) pairs, of the span of integer vectors."""
-    basis = []
-    for v in vectors:
-        for piv, row in basis:
-            if v[piv]:
-                v = tuple(row[piv] * x - v[piv] * y for x, y in zip(v, row))
-        piv = next((i for i, x in enumerate(v) if x), None)
-        if piv is not None:
-            basis.append((piv, v))
-    return basis
-
-
 def _place(points):
     """Beneath-beyond placing triangulation of distinct integer points spanning Z^r.
 
@@ -490,7 +435,7 @@ def _place(points):
     r = len(pts[0])
     o, seed = pts[0], [pts[0]]
     for p in pts[1:]:
-        if len(seed) <= r and len(_echelon(linalg.vsub(q, o) for q in seed[1:] + [p])) == len(seed):
+        if len(seed) <= r and len(linalg.echelon(linalg.vsub(q, o) for q in seed[1:] + [p])[0]) == len(seed):
             seed.append(p)
     rest = [p for p in pts if p not in seed]
     random.Random(0).shuffle(rest)
@@ -500,9 +445,9 @@ def _place(points):
 
     def facet(verts):
         rows = [linalg.vsub(v, verts[0]) for v in verts[1:]]
-        normal = tuple((-1) ** i * _idet([row[:i] + row[i + 1 :] for row in rows]) for i in range(r))
-        offset = _idot(normal, verts[0])
-        side = _idot(normal, centre) - (r + 1) * offset
+        normal = tuple((-1) ** i * linalg.det([row[:i] + row[i + 1 :] for row in rows]) for i in range(r))
+        offset = linalg.dot(normal, verts[0])
+        side = linalg.dot(normal, centre) - (r + 1) * offset
         if side == 0:
             raise InvariantError("placing triangulation", f"boundary simplex {verts} is degenerate")
         if side < 0:
@@ -510,23 +455,21 @@ def _place(points):
         return verts, normal, offset
 
     boundary = [facet(tuple(sorted(seed[:i] + seed[i + 1 :]))) for i in range(r + 1)]
-    total = abs(_idet([linalg.vsub(v, seed[0]) for v in seed[1:]]))
+    total = abs(linalg.det([linalg.vsub(v, seed[0]) for v in seed[1:]]))
     for p in rest:
         visible, kept = [], []
         for f in boundary:
-            (visible if _idot(f[1], p) < f[2] else kept).append(f)
+            (visible if linalg.dot(f[1], p) < f[2] else kept).append(f)
         if not visible:
             continue
         ridges = Counter()
         for verts, normal, offset in visible:
-            total += offset - _idot(normal, p)
+            total += offset - linalg.dot(normal, p)
             ridges.update(verts[:i] + verts[i + 1 :] for i in range(r))
         kept.extend(facet(tuple(sorted(ridge + (p,)))) for ridge, k in ridges.items() if k == 1)
         boundary = kept
-    facets = set()
-    for _, normal, offset in boundary:
-        g = math.gcd(*normal)
-        facets.add((tuple(x // g for x in normal), offset // g))
+    # an offset is a multiple of the gcd of its integer normal
+    facets = {(w[:-1], w[-1]) for w in (linalg.primitive(normal + (offset,)) for _, normal, offset in boundary)}
     return sorted(facets), total
 
 
@@ -535,15 +478,15 @@ def _hull_facets(ints):
 
     Projecting onto those columns is injective on the points' affine hull.
     Returns (rows, cols, facets, total): the integer echelon rows of the
-    differences, as (pivot, row) pairs; the sorted pivot columns; per
+    differences (``linalg.echelon``); their sorted pivot columns; per
     facet (tight, normal), bit i of ``tight`` set when it holds point i and
     ``normal`` over ``cols``; and r! times the volume of the projected hull.
     """
-    rows = _echelon(linalg.vsub(q, ints[0]) for q in ints[1:])
-    cols = sorted(piv for piv, _ in rows)
+    rows, pivots = linalg.echelon(linalg.vsub(q, ints[0]) for q in ints[1:])
+    cols = sorted(pivots)
     proj = [tuple(q[c] for c in cols) for q in ints]
     facets, total = _place(proj)
-    tight = [(sum(1 << i for i, q in enumerate(proj) if _idot(a, q) == b), a) for a, b in facets]
+    tight = [(sum(1 << i for i, q in enumerate(proj) if linalg.dot(a, q) == b), a) for a, b in facets]
     return rows, cols, tight, total
 
 
@@ -551,7 +494,7 @@ def _vertex_indices(count, facets, r) -> list:
     """The first ``count`` points that are vertices of an r-dimensional hull:
     those whose facets, (tight, normal) as ``_hull_facets`` gives them, have
     normals of full rank."""
-    return [i for i in range(count) if len(_echelon(a for tight, a in facets if tight >> i & 1)) == r]
+    return [i for i in range(count) if len(linalg.echelon(a for tight, a in facets if tight >> i & 1)[0]) == r]
 
 
 def _hull(pts):
@@ -565,11 +508,12 @@ def _hull(pts):
     """
     if len(pts) == 1:
         return list(pts), 0, RadVal(Fraction(1))
-    ints, den = linalg._over_common_denominator(pts)
-    rows, cols, facets, total = _hull_facets(ints)
+    ints, den = linalg.over_common_denominator(pts)
+    w, cols, facets, total = _hull_facets(ints)
     r = len(cols)
-    w = [row for _, row in rows]
-    gram = Fraction(_idet([[_idot(a, b) for b in w] for a in w]), _idet([[row[c] for c in cols] for row in w]) ** 2)
+    gram = Fraction(
+        linalg.det([[linalg.dot(a, b) for b in w] for a in w]), linalg.det([[row[c] for c in cols] for row in w]) ** 2
+    )
     volume = RadVal.from_sqrt(Fraction(total, math.factorial(r) * den**r), gram)
     return [pts[i] for i in _vertex_indices(len(pts), facets, r)], r, volume
 
@@ -628,7 +572,7 @@ def lower_faces(point_sets) -> list:
     that face.
     """
     sets = [[tuple(Fraction(c) for c in p) for p in pts] for pts in point_sets]
-    flat, _ = linalg._over_common_denominator([p for pts in sets for p in pts])
+    flat, _ = linalg.over_common_denominator([p for pts in sets for p in pts])
     ints, start = [], 0
     for pts in sets:
         ints.append(flat[start : start + len(pts)])
@@ -664,7 +608,7 @@ def lower_faces(point_sets) -> list:
             raise InvariantError("lower_faces", f"summed facet normal {w} of a lower face is not lifted")
         argmins = []
         for pts in ints:
-            values = [_idot(w, p) for p in pts]
+            values = [linalg.dot(w, p) for p in pts]
             least = min(values)
             argmins.append(frozenset(j for j, v in enumerate(values) if v == least))
         out.append((tuple(Fraction(v, w[r]) for v in w[:r]), tuple(argmins)))

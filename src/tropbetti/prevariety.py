@@ -264,7 +264,7 @@ class DualFace:
         for pts in self.parts:
             base = pts[0]
             diffs.extend(linalg.vsub(p, base) for p in pts[1:])
-        return linalg.rank(diffs) if diffs else 0
+        return linalg.rank(diffs)
 
     @property
     def tropical(self) -> bool:
@@ -291,19 +291,15 @@ def dual_cell(s: TropSystem, f: DualFace) -> PrevarietyCell:
     """G(F): the closed prevariety cell dual to a tropical face.
 
     The face's witness must have exactly its pattern, so it lies in the
-    relatively open cell U_B, which is open in the affine span of its ties:
-    dim G(F) = n - rank of the tie rows.
+    relatively open cell U_B.  The functionals (x, 1) that select F are
+    those orthogonal to its differences, so dim G(F) = n - dim F.
     """
     if not f.tropical:
         raise ValueError("dual_cell requires a tropical face")
     at_witness = [eval_poly(g, f.witness)[1] for g in s.polys]
     if any(argmin != f.pattern.row(i) for i, argmin in enumerate(at_witness)):
         raise InvariantError("dual_cell", f"witness {f.witness} does not have pattern {f.pattern.pairs}")
-    ties = []
-    for i, g in enumerate(s.polys):
-        a0, *rest = (g.monomials[j].a for j in sorted(f.pattern.row(i)))
-        ties.extend(linalg.vsub(a, a0) for a in rest)
-    return PrevarietyCell(s, f.pattern, s.n - linalg.rank(ties), f.witness)
+    return PrevarietyCell(s, f.pattern, s.n - f.dim, f.witness)
 
 
 def connected_components(c: PrevarietyComplex) -> list[list[PrevarietyCell]]:

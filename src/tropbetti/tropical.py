@@ -44,7 +44,7 @@ class TropPoly:
     """min of a deduplicated, canonically ordered list of monomials."""
 
     def __init__(self, monomials, laurent: bool = False):
-        mons = sorted(set(LinForm.make(m.a, m.b) if isinstance(m, LinForm) else LinForm.make(*m) for m in monomials))
+        mons = sorted(set(m if isinstance(m, LinForm) else LinForm.make(*m) for m in monomials))
         if not mons:
             raise ValueError("a tropical polynomial needs at least one monomial")
         n = len(mons[0].a)

@@ -189,6 +189,11 @@ def is_bounded_lp(p) -> bool:
     return res.value == 0
 
 
+def vscale(c, a) -> tuple[Fraction, ...]:
+    c = Fraction(c)
+    return tuple(c * x for x in a)
+
+
 def sliced_closures(component) -> tuple[int, list]:
     """(d, closures sliced by L-perp) for a connected component of cells.
 
@@ -209,7 +214,7 @@ def sliced_closures(component) -> tuple[int, list]:
         coeffs = linalg.solve(gram, [linalg.dot(u, cell.witness) for u in basis])
         w = cell.witness
         for c, u in zip(coeffs, basis):
-            w = linalg.vsub(w, linalg.vscale(c, u))
+            w = linalg.vsub(w, vscale(c, u))
         p = cell.closure.intersect(cut)
         p.record_point(w, "sliced_closures")
         sliced.append(p)

@@ -266,15 +266,15 @@ def test_face_lists_match_pinned_digests():
 
 
 def test_arrangement_runs_without_rational_linear_algebra(monkeypatch):
-    """Build, lattice and stepping run in integer arithmetic, with no
-    Fraction echelon, solve, kernel or primitive scaling and no
-    per-hyperplane evaluation."""
+    """Build, lattice and stepping run on linalg's integer kernel alone:
+    none of its rational-input entry points (which scale rows to integers
+    first) and no per-hyperplane evaluation."""
     systems = [gen_grid_example(3, 3), realized_square()] + system_corpus(face_digests.CORPUS_SEED, 10)
 
     def refuse(*args, **kwargs):
         raise AssertionError("rational linear algebra in the arrangement layer")
 
-    for name in ("rref", "solve", "nullspace", "primitive"):
+    for name in ("rank", "solve", "nullspace"):
         monkeypatch.setattr(linalg, name, refuse)
     # the package no longer defines Hyperplane.value; it must not come back
     monkeypatch.setattr(Hyperplane, "value", refuse, raising=False)

@@ -177,6 +177,13 @@ def test_gen_grid_pipeline(capsys, monkeypatch):
     assert code == 0 and json.loads(out) == [9]
 
 
+def test_gen_grid_rejects_empty_sizes(capsys):
+    for argv in (["--n", "0"], ["--m", "0"], ["--n", "-2", "--m", "3"]):
+        code, out, err = run(capsys, ["gen", "grid", *argv])
+        assert code == 1 and out == "" and err.startswith("error: need n >= 1")
+        assert "Traceback" not in err
+
+
 def test_realize_command(capsys, monkeypatch):
     doc = '{"n":1,"polyhedra":[{"eq":[[[1],"0"]]},{"eq":[[[1],"5"]]}]}'
     code, out, _ = run(capsys, ["realize", "-"], doc, monkeypatch)
@@ -382,7 +389,19 @@ def test_check_compares_cell_dimensions(monkeypatch):
 
     monkeypatch.setattr(cli, "cells_via_arrangement", misdimensioned)
     report = check_system(parse_system(LINE_DOC.encode()))
-    assert report["duality_ok"] and report["cross_method_ok"] is False and report["all_ok"] is False
+    # duality compares each dual face with the route-1 cell of its pattern
+    assert report["duality_ok"] is False and report["cross_method_ok"] is False and report["all_ok"] is False
+
+
+def test_check_duality_catches_a_misdimensioned_dual_face(monkeypatch):
+    def misdimension(s, faces):
+        face = faces[_first_tropical(faces)]
+        face.__dict__["dim"] = face.dim + 1  # overrides the cached property
+
+    _mutated_dual_route(monkeypatch, misdimension)
+    for s in [parse_system(LINE_DOC.encode()), gen_grid_example(2, 2)]:
+        report = check_system(s)
+        assert report["duality_ok"] is False and report["cross_method_ok"] is False and report["all_ok"] is False
 
 
 def test_check_fails_on_a_wrong_dual_witness(capsys, monkeypatch):

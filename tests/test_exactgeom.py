@@ -1,4 +1,5 @@
 import ast
+import math
 import operator
 from fractions import Fraction
 from pathlib import Path
@@ -311,6 +312,20 @@ def test_lineality_examples():
     assert len(HPolyhedron(2, [], []).lineality_basis()) == 2
     with pytest.raises(EmptyPolyhedronError):
         HPolyhedron(1, [], [((1,), 1), ((-1,), 0)]).lineality_basis()
+
+
+@given(st.lists(rationals, min_size=1, max_size=5).filter(any), rationals)
+def test_rows_are_primitive_with_equalities_sign_normalized(a, b):
+    """An equality row is scaled to the coprime integer normal with a
+    positive lead, an inequality row by a positive factor only."""
+    n = len(a)
+    for p, flip in ((HPolyhedron(n, [(a, b)], []), True), (HPolyhedron(n, [], [(a, b)]), False)):
+        [(w, rhs)] = p.eq if flip else p.ineq
+        assert all(type(x) is int for x in w) and math.gcd(*w) == 1
+        q = next(i for i, x in enumerate(a) if x)
+        c = w[q] / a[q]
+        assert w == tuple(c * x for x in a) and rhs == c * b
+        assert c > 0 or (flip and w[q] > 0)
 
 
 def test_canonical_identifies_equal_polyhedra():
