@@ -43,6 +43,9 @@ class InputError(ValueError):
 def _rational(value, path: str) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise InputError(f"expected rational string or integer at {path}")
+    # Fraction("1e999999999") would build 10**999999999 before any check
+    if isinstance(value, str) and ("e" in value or "E" in value):
+        raise InputError(f"exponent notation not accepted at {path}: {value!r}")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError):
@@ -58,9 +61,11 @@ def _coeffs(value, n: int, path: str) -> tuple[int, ...]:
 
 
 def _load_json(text: bytes):
+    # besides malformed JSON and UTF-8, a plain ValueError is an integer past
+    # Python's digit limit, and a RecursionError nesting too deep to decode
     try:
         return json.loads(text.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (ValueError, RecursionError) as e:
         raise InputError(f"invalid JSON input: {e}") from None
 
 

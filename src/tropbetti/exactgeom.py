@@ -418,53 +418,65 @@ def minkowski_sum(a: VPolytope, b: VPolytope) -> VPolytope:
 # ------------------------------------------------ integer placing triangulation
 
 
-def _place(points):
-    """Beneath-beyond placing triangulation of distinct integer points spanning Z^r.
+def _place(points, ray):
+    """Beneath-beyond placing triangulation of conv(points) + cone(ray).
 
-    The first affinely independent points, in the given order, seed a
-    simplex; each further point, in a fixed pseudo-random order, is coned to
-    the boundary simplices it lies strictly beyond.  (In sorted order every
-    new point would be extreme, the worst case for the cone step.)  A
-    boundary simplex keeps its unreduced cofactor normal, so |det| of a cone
-    is the point's distance below the simplex's offset.  Returns the hull's
-    facets, as sorted primitive (normal, offset) with <normal, x> >= offset
-    on it, and the sum of |det|, r! times the volume; neither depends on the
-    order of the points.
+    The points are distinct integer points and ``ray`` an integer direction
+    or None, together spanning Z^r.  The ray is a vertex at infinity: its row
+    in a simplex's cofactor normal is the ray itself, not a difference.  The
+    first point, the ray and the next affinely independent points, in the
+    given order, seed a simplex; each further point, in a fixed pseudo-random
+    order, is coned to the boundary simplices it lies strictly beyond.  (In
+    sorted order every new point would be extreme, the worst case for the
+    cone step.)  A boundary simplex keeps its unreduced cofactor normal, so
+    |det| of a cone is the point's distance below the simplex's offset.
+    Returns the facets, as sorted primitive (normal, offset) with <normal, x>
+    >= offset on the hull (so <normal, ray> >= 0), and the sum of |det|, r!
+    times the volume if there is no ray; neither depends on the point order.
     """
     pts = list(points)
-    r = len(pts[0])
-    o, seed = pts[0], [pts[0]]
-    for p in pts[1:]:
-        if len(seed) <= r and len(linalg.echelon(linalg.vsub(q, o) for q in seed[1:] + [p])[0]) == len(seed):
-            seed.append(p)
-    rest = [p for p in pts if p not in seed]
-    random.Random(0).shuffle(rest)
+    r, far = len(pts[0]), len(pts)  # far: the ray's vertex, last in every sorted simplex
+
+    def edge(i, o):
+        return ray if i == far else linalg.vsub(pts[i], o)
+
+    seed = [0] if ray is None else [0, far]
+    for i in range(1, len(pts)):
+        if len(seed) <= r and len(linalg.echelon([edge(j, pts[0]) for j in seed[1:] + [i]])[0]) == len(seed):
+            seed.append(i)
     if len(seed) != r + 1:
         raise InvariantError("placing triangulation", f"points span {len(seed) - 1} of {r} dimensions")
-    centre = [sum(c) for c in zip(*seed)]  # r + 1 times an interior point of every hull below
+    rest = sorted(set(range(len(pts))) - set(seed))
+    random.Random(0).shuffle(rest)
+    # m times an interior point of every hull below, m the seed's points
+    m = len(seed) - (ray is not None)
+    centre = [sum(c) for c in zip(*(ray if i == far else pts[i] for i in seed))]
 
     def facet(verts):
-        rows = [linalg.vsub(v, verts[0]) for v in verts[1:]]
+        o = pts[verts[0]]
+        rows = [edge(i, o) for i in verts[1:]]
         normal = tuple((-1) ** i * linalg.det([row[:i] + row[i + 1 :] for row in rows]) for i in range(r))
-        offset = linalg.dot(normal, verts[0])
-        side = linalg.dot(normal, centre) - (r + 1) * offset
+        offset = linalg.dot(normal, o)
+        side = linalg.dot(normal, centre) - m * offset
         if side == 0:
             raise InvariantError("placing triangulation", f"boundary simplex {verts} is degenerate")
         if side < 0:
             normal, offset = tuple(-x for x in normal), -offset
         return verts, normal, offset
 
-    boundary = [facet(tuple(sorted(seed[:i] + seed[i + 1 :]))) for i in range(r + 1)]
-    total = abs(linalg.det([linalg.vsub(v, seed[0]) for v in seed[1:]]))
+    # without a point, only the face at infinity of a half-line, never a facet
+    boundary = [facet(verts) for verts in itertools.combinations(sorted(seed), r) if verts != (far,)]
+    total = abs(linalg.det([edge(i, pts[0]) for i in seed[1:]]))
     for p in rest:
+        q = pts[p]
         visible, kept = [], []
         for f in boundary:
-            (visible if linalg.dot(f[1], p) < f[2] else kept).append(f)
+            (visible if linalg.dot(f[1], q) < f[2] else kept).append(f)
         if not visible:
             continue
         ridges = Counter()
         for verts, normal, offset in visible:
-            total += offset - linalg.dot(normal, p)
+            total += offset - linalg.dot(normal, q)
             ridges.update(verts[:i] + verts[i + 1 :] for i in range(r))
         kept.extend(facet(tuple(sorted(ridge + (p,)))) for ridge, k in ridges.items() if k == 1)
         boundary = kept
@@ -473,20 +485,24 @@ def _place(points):
     return sorted(facets), total
 
 
-def _hull_facets(ints):
-    """The hull of distinct integer points, in the pivot columns of their differences.
+def _hull_facets(ints, ray):
+    """conv(P) + cone(ray), P distinct integer points and ``ray`` a direction
+    or None, in the pivot columns of the differences of P and the ray.
 
-    Projecting onto those columns is injective on the points' affine hull.
-    Returns (rows, cols, facets, total): the integer echelon rows of the
-    differences (``linalg.echelon``); their sorted pivot columns; per
-    facet (tight, normal), bit i of ``tight`` set when it holds point i and
-    ``normal`` over ``cols``; and r! times the volume of the projected hull.
+    Projecting onto those columns is injective on the affine hull.  Returns
+    (rows, cols, facets, total): the integer echelon rows of the differences
+    and the ray (``linalg.echelon``); their sorted pivot columns; per facet
+    (tight, normal), bit i of ``tight`` set when it holds P[i] and bit len(P)
+    when it holds the ray, and ``normal`` over ``cols``; and ``_place``'s total.
     """
-    rows, pivots = linalg.echelon(linalg.vsub(q, ints[0]) for q in ints[1:])
+    rows, pivots = linalg.echelon([linalg.vsub(q, ints[0]) for q in ints[1:]] + ([ray] if ray is not None else []))
     cols = sorted(pivots)
     proj = [tuple(q[c] for c in cols) for q in ints]
-    facets, total = _place(proj)
-    tight = [(sum(1 << i for i, q in enumerate(proj) if linalg.dot(a, q) == b), a) for a, b in facets]
+    if ray is not None:
+        ray = tuple(ray[c] for c in cols)
+    facets, total = _place(proj, ray)
+    ends = [(q, 1) for q in proj] + ([(ray, 0)] if ray is not None else [])
+    tight = [(sum(1 << i for i, (q, c) in enumerate(ends) if linalg.dot(a, q) == c * b), a) for a, b in facets]
     return rows, cols, tight, total
 
 
@@ -509,7 +525,7 @@ def _hull(pts):
     if len(pts) == 1:
         return list(pts), 0, RadVal(Fraction(1))
     ints, den = linalg.over_common_denominator(pts)
-    w, cols, facets, total = _hull_facets(ints)
+    w, cols, facets, total = _hull_facets(ints, None)
     r = len(cols)
     gram = Fraction(
         linalg.det([[linalg.dot(a, b) for b in w] for a in w]), linalg.det([[row[c] for c in cols] for row in w]) ** 2
@@ -522,33 +538,23 @@ def _hull(pts):
 
 
 def _lifted_hull(points):
-    """Facets of conv(P ∪ (P + e)), P the lowest of the points over each a.
+    """Facets of conv(P) + cone(e), P the lowest of the points over each a.
 
-    The points are integer (a, b), b the lift, and e is the unit lift; a
-    point above another lies between it and its raised copy.  Returns
-    (P, cols, facets): the hull is taken in the pivot columns ``cols`` of
-    the point differences, which hold the last one as e is a difference,
-    and ``facets`` lists (tight, normal) for each facet through a point of
-    P, with bit i of ``tight`` set when the facet holds P[i] and bit
-    len(P) + i when it holds P[i] + e.
+    The points are integer (a, b), b the lift, and e is the unit lift.
+    Returns (P, cols, facets): the hull is taken in the pivot columns
+    ``cols`` of the differences and e, which hold the last one, and
+    ``facets`` lists (tight, normal) for each lower or vertical facet, bit i
+    of ``tight`` set when it holds P[i] and bit len(P) when it holds e.
     """
-    lowest: dict[tuple, int] = {}
-    for p in points:
-        a, b = p[:-1], p[-1]
-        if a not in lowest or b < lowest[a]:
-            lowest[a] = b
-    low = sorted(a + (b,) for a, b in lowest.items())
-    _, cols, facets, _ = _hull_facets(low + [p[:-1] + (p[-1] + 1,) for p in low])
-    bottom = (1 << len(low)) - 1
-    return low, cols, [f for f in facets if f[0] & bottom]
+    # in decreasing order, the last point over each a is the lowest
+    low = sorted({p[:-1]: p for p in sorted(points, reverse=True)}.values())
+    _, cols, facets, _ = _hull_facets(low, (0,) * (len(low[0]) - 1) + (1,))
+    return low, cols, facets
 
 
 def _lower_vertices(points) -> list:
-    """The lower vertices of conv(points), integer points (a, b) with b the lift.
-
-    They are the points of P that are vertices of conv(P ∪ (P + e)), the
-    points whose facets have normals of full rank.
-    """
+    """The lower vertices of conv(points), integer points (a, b), b the lift:
+    the vertices of conv(P) + cone(e), whose facets have normals of full rank."""
     low, cols, facets = _lifted_hull(points)
     return [low[i] for i in _vertex_indices(len(low), facets, len(cols))]
 
@@ -563,13 +569,13 @@ def lower_faces(point_sets) -> list:
     summands of the face).
 
     The lower vertices of a sum are sums of lower vertices, so each set and
-    the running sum after each set are pruned to their lower vertices V.
-    The faces of conv(V ∪ (V + e)) that hold no raised point are then the
-    lower faces of the sum; they are the intersections of its facets, read
-    as sets of tight points.  The facets through a lower face have normals
-    with last entry >= 0, and as the face misses its raised copy at least
-    one is > 0, so their sum (w, t) has t > 0 and x = w / t selects exactly
-    that face.
+    the running sum before each further set are pruned to their lower
+    vertices.  The lower faces of the final sum are the bounded faces of
+    conv(sum) + cone(e), e the unit lift: the intersections of its facets,
+    read as sets of tight points, that miss the ray.  The facets through a
+    lower face have normals with last entry <normal, e> >= 0, and as the
+    face misses the ray at least one is > 0, so their sum (w, t) has t > 0
+    and x = w / t selects exactly that face.
     """
     sets = [[tuple(Fraction(c) for c in p) for p in pts] for pts in point_sets]
     flat, _ = linalg.over_common_denominator([p for pts in sets for p in pts])
@@ -578,28 +584,23 @@ def lower_faces(point_sets) -> list:
         ints.append(flat[start : start + len(pts)])
         start += len(pts)
     r = len(flat[0]) - 1
-    lows = [_lower_vertices(pts) for pts in ints]
-    verts = lows[0]
-    for summand in lows[1:]:
-        verts = _lower_vertices(linalg.vadd(v, q) for v in verts for q in summand)
-    verts, cols, facets = _lifted_hull(verts)
+    summed = ints[0]
+    for pts in ints[1:]:
+        summand = _lower_vertices(pts)
+        summed = [linalg.vadd(v, q) for v in _lower_vertices(summed) for q in summand]
+    low, cols, facets = _lifted_hull(summed)
 
-    bottom = (1 << len(verts)) - 1
+    ray = 1 << len(low)
     faces, stack = set(), [t for t, _ in facets]
     while stack:
         face = stack.pop()
         if face in faces:
             continue
         faces.add(face)
-        for tight, _ in facets:
-            sub = face & tight
-            if sub & bottom and sub not in faces:
-                stack.append(sub)
+        stack.extend(sub for sub in (face & t for t, _ in facets) if sub & (ray - 1) and sub not in faces)
 
     out = []
-    for face in sorted(faces):
-        if face & ~bottom:
-            continue
+    for face in sorted(f for f in faces if not f & ray):
         total = [sum(col) for col in zip(*(normal for tight, normal in facets if tight & face == face))]
         w = [0] * (r + 1)
         for c, v in zip(cols, total):

@@ -15,6 +15,10 @@ Each oracle deliberately avoids the code path it is used to check:
   under test comes from a placing triangulation of a projection.
 - ``hull_vertices_lp`` keeps the points that no exact LP writes as a convex
   combination of the other points; the hull under test uses no LP.
+- ``lower_vertices_raised`` and ``lower_faces_raised`` take lower hulls as
+  conv(P ∪ (P + e)), P with copies raised by the unit lift e, and hull the
+  final sum once more after pruning it; the lower hulls under test are
+  conv(P) + cone(e), placed with e as a vertex at infinity.
 - ``univariate_zeros`` finds breakpoints of a univariate min-envelope from
   pairwise tie candidates.
 - ``is_bounded_lp`` decides boundedness with one LP over the full
@@ -43,7 +47,7 @@ from fractions import Fraction
 
 import sympy
 
-from tropbetti import linalg
+from tropbetti import exactgeom, linalg
 from tropbetti.cli import sign_vectors_bruteforce  # the one copy; re-exported here
 from tropbetti.exactgeom import HPolyhedron
 from tropbetti.linprog import LPStatus, solve_lp
@@ -135,6 +139,68 @@ def _in_hull_lp(p, points) -> bool:
     eqs.append(([1] * m, 1))
     ineqs = [([int(i == j) for j in range(m)], 0) for i in range(m)]
     return solve_lp(m, eqs, ineqs).status is LPStatus.OPTIMAL
+
+
+def lifted_hull_raised(points):
+    """(P, cols, facets) of conv(P ∪ (P + e)), P the lowest of the integer
+    points (a, b) over each a: the facets through a point of P, bit i of
+    ``tight`` for P[i] and bit len(P) + i for P[i] + e."""
+    lowest: dict[tuple, int] = {}
+    for p in points:
+        a, b = p[:-1], p[-1]
+        if a not in lowest or b < lowest[a]:
+            lowest[a] = b
+    low = sorted(a + (b,) for a, b in lowest.items())
+    _, cols, facets, _ = exactgeom._hull_facets(low + [p[:-1] + (p[-1] + 1,) for p in low], None)
+    bottom = (1 << len(low)) - 1
+    return low, cols, [f for f in facets if f[0] & bottom]
+
+
+def lower_vertices_raised(points) -> list:
+    """The points of P that are vertices of conv(P ∪ (P + e))."""
+    low, cols, facets = lifted_hull_raised(points)
+    return [low[i] for i in exactgeom._vertex_indices(len(low), facets, len(cols))]
+
+
+def lower_faces_raised(point_sets) -> list:
+    """``exactgeom.lower_faces`` from raised copies: the summands and running
+    sums pruned by ``lower_vertices_raised``, the final sum pruned and hulled
+    again, its lower faces the facet intersections without a raised point."""
+    sets = [[tuple(Fraction(c) for c in p) for p in pts] for pts in point_sets]
+    flat, _ = linalg.over_common_denominator([p for pts in sets for p in pts])
+    ints, start = [], 0
+    for pts in sets:
+        ints.append(flat[start : start + len(pts)])
+        start += len(pts)
+    r = len(flat[0]) - 1
+    lows = [lower_vertices_raised(pts) for pts in ints]
+    verts = lows[0]
+    for summand in lows[1:]:
+        verts = lower_vertices_raised(linalg.vadd(v, q) for v in verts for q in summand)
+    verts, cols, facets = lifted_hull_raised(verts)
+    bottom = (1 << len(verts)) - 1
+    faces, stack = set(), [t for t, _ in facets]
+    while stack:
+        face = stack.pop()
+        if face in faces:
+            continue
+        faces.add(face)
+        for tight, _ in facets:
+            sub = face & tight
+            if sub & bottom and sub not in faces:
+                stack.append(sub)
+    out = []
+    for face in sorted(f for f in faces if not f & ~bottom):
+        total = [sum(col) for col in zip(*(normal for tight, normal in facets if tight & face == face))]
+        w = [0] * (r + 1)
+        for c, v in zip(cols, total):
+            w[c] = v
+        argmins = []
+        for pts in ints:
+            values = [linalg.dot(w, p) for p in pts]
+            argmins.append(frozenset(j for j, v in enumerate(values) if v == min(values)))
+        out.append((tuple(Fraction(v, w[r]) for v in w[:r]), tuple(argmins)))
+    return out
 
 
 def univariate_zeros(f: TropPoly) -> list[Fraction]:

@@ -5,7 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tropbetti import exactgeom
@@ -19,7 +19,16 @@ from tropbetti.exactgeom import (
     sqfree_decompose,
 )
 
-from oracles import hull_vertices_lp, is_bounded_lp, polygon_area, simplex_volume_sq
+from oracles import (
+    hull_vertices_lp,
+    is_bounded_lp,
+    lifted_hull_raised,
+    lower_faces_raised,
+    lower_vertices_raised,
+    polygon_area,
+    simplex_volume_sq,
+)
+from tropbetti.realize import gen_grid_example
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -224,14 +233,14 @@ def test_lower_dim_simplex_volume_matches_sympy(n, data):
 def test_hull_triangulates_once(monkeypatch):
     calls = []
     place = exactgeom._place
-    monkeypatch.setattr(exactgeom, "_place", lambda points: calls.append(1) or place(points))
+    monkeypatch.setattr(exactgeom, "_place", lambda points, ray: calls.append(ray) or place(points, ray))
     # a lattice quadrilateral, with an interior point, in a rational plane of Q^3
     pts = [(x, y, Fraction(x, 4)) for x, y in [(0, 0), (2, 1), (1, 3), (3, 4), (1, 2)]]
     p = VPolytope.hull(pts)
-    assert len(calls) == 1
+    assert calls == [None]  # one placing, without a ray
     assert p.affine_dim() == 2 and len(p.vertices) == 4
     assert p.volume() == RadVal.from_sqrt(Fraction(5, 4), 17)  # area 5 times sqrt(1 + (1/4)^2)
-    assert len(calls) == 1
+    assert calls == [None]
 
 
 def _apply(matrix, shift, pts):
@@ -271,18 +280,79 @@ def test_full_dim_volume_invariant_under_unimodular_maps(n, data):
         assert image.affine_dim() == p.affine_dim()
 
 
-@given(dims, st.data())
-@settings(deadline=None, max_examples=100)
-def test_place_does_not_depend_on_point_order(n, data):
+@given(dims, st.sampled_from(["none", "ray", "flat"]), st.data())
+@settings(deadline=None, max_examples=150)
+def test_place_does_not_depend_on_point_order(n, kind, data):
     # the first affinely independent points seed the simplex, so a
     # permutation changes the seed and the insertion order
     simplex = [tuple(int(i == j) for j in range(n)) for i in range(n)] + [(0,) * n]
     extra = data.draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), max_size=12))
     pts = list(dict.fromkeys(simplex + extra))
-    facets, total = exactgeom._place(pts)
-    assert exactgeom._place(data.draw(st.permutations(pts))) == (facets, total)
-    assert exactgeom._place(sorted(pts)) == (facets, total)
+    ray = None
+    if kind != "none":
+        ray = data.draw(st.tuples(*[st.integers(-2, 2)] * n).filter(any))
+    if kind == "flat":
+        # points in the hyperplane x_n = 0, which only the ray completes
+        pts = [p for p in pts if p[-1] == 0]
+        ray = ray[:-1] + (data.draw(st.sampled_from([-2, -1, 1, 2])),)
+    facets, total = exactgeom._place(pts, ray)
+    shuffled = exactgeom._place(data.draw(st.permutations(pts)), ray)
+    in_order = exactgeom._place(sorted(pts), ray)
+    if ray is None:
+        assert shuffled == in_order == (facets, total)
+    else:
+        # with a ray the total counts unbounded cones too and means nothing
+        assert shuffled[0] == in_order[0] == facets
+        assert all(sum(a * x for a, x in zip(normal, ray)) >= 0 for normal, _ in facets)
     assert all(sum(a * x for a, x in zip(normal, p)) >= offset for normal, offset in facets for p in pts)
+    # every facet holds a point, and the facets are distinct
+    assert all(any(sum(a * x for a, x in zip(normal, p)) == offset for p in pts) for normal, offset in facets)
+    assert len({normal for normal, _ in facets}) == len(facets)
+
+
+lifts = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+def lifted_sets(r):
+    return st.lists(st.tuples(*[st.integers(0, 2)] * r, lifts), min_size=1, max_size=5)
+
+
+@given(st.integers(min_value=1, max_value=3).flatmap(lambda r: st.lists(lifted_sets(r), min_size=1, max_size=3)))
+@example([[(0, 0, 5)]])  # one point
+@example([[(1, 1, 0), (1, 1, 2), (1, 1, -1)]])  # points differing only in the lift
+@example([[(0, 0, 0), (1, 1, 1), (2, 2, 0)], [(0, 1, 0), (2, 1, 1)]])  # lower-dimensional sets
+@example([[(0, 0, 0), (1, 0, 1), (0, 1, 1)], [(0, 0, 1), (1, 0, 0)], [(0, 0, 0), (0, 1, 0), (1, 1, 0)]])
+@example([[(0, 0), (1, 0), (2, 0)], [(0, 1), (1, 0)]])  # lifts affine in a: one lower face
+@settings(deadline=None, max_examples=200)
+def test_ray_hulls_match_raised_copies(sets):
+    """conv(P) + cone(e) has the facets, lower vertices and lower faces of
+    conv(P ∪ (P + e)), which the oracle builds from raised copies."""
+    for pts in sets:
+        ints = [tuple(p[:-1]) + (int(p[-1] * 6),) for p in pts]
+        low, cols, facets = exactgeom._lifted_hull(ints)
+        raised_low, raised_cols, raised = lifted_hull_raised(ints)
+        bottom = (1 << len(low)) - 1
+        assert (low, cols) == (raised_low, raised_cols)
+        assert sorted((t & bottom, a) for t, a in facets) == sorted((t & bottom, a) for t, a in raised)
+        # the ray's bit marks exactly the vertical facets
+        assert all(bool(t >> len(low) & 1) == (a[-1] == 0) for t, a in facets)
+        assert exactgeom._lower_vertices(ints) == lower_vertices_raised(ints)
+    faces = exactgeom.lower_faces(sets)
+    assert len(faces) == len(set(faces)) and set(faces) == set(lower_faces_raised(sets))
+
+
+def test_lower_faces_hulls_each_sum_once(monkeypatch):
+    """k summands make 2k - 1 placings: one per summand, one per running sum
+    before a further summand, and one of the final sum, which has 64
+    points on the 3 x 3 grid; no placing gets a raised copy."""
+    s = gen_grid_example(3, 3)
+    sets = [[tuple(m.a) + (m.b,) for m in f.monomials] for f in s.polys]
+    calls = []
+    place = exactgeom._place
+    monkeypatch.setattr(exactgeom, "_place", lambda points, ray: calls.append(len(points)) or place(points, ray))
+    exactgeom.lower_faces(sets)
+    assert len(sets) == 3 and len(calls) == 2 * 3 - 1
+    assert max(calls) == calls[-1] == 64
 
 
 def test_lower_faces_of_lifted_square():
