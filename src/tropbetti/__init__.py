@@ -25,8 +25,9 @@ from .exactgeom import (
     InvariantError,
     RadVal,
     VPolytope,
+    lifted_sum_hull,
     lower_faces,
-    minkowski_sum,
+    newton_volume,
 )
 from .prevariety import (
     DualFace,
@@ -64,7 +65,6 @@ from .tropical import (
     eval_poly,
     is_system_zero,
     is_zero,
-    newton_polytope,
     trop_mul,
 )
 

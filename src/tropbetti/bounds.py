@@ -2,8 +2,9 @@
 
 Dense bound: phi(V) <= (2^(r+1) - 1) * r! * Vol_r(P_1 + ... + P_k), where
 P_i are the Newton polytopes and r is the dimension of their Minkowski sum
-(assumed positive; r = 0 is reported as degenerate).  Degree bound:
-b(V) <= (2^(n+1) - 1) * (k*d)^n.  Sparse bound:
+(assumed positive; r = 0 is reported as degenerate).  r and Vol_r are read
+from the dual route's final hull, ``TropSystem.lifted_hull``, which projects
+onto the sum.  Degree bound: b(V) <= (2^(n+1) - 1) * (k*d)^n.  Sparse bound:
 phi(V) <= n * 2^n * binom(k*binom(m,2), n) for n <= k*binom(m,2); smaller
 systems fall back to the essential-dimension maximum and are flagged.
 """
@@ -13,17 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .exactgeom import RadVal, minkowski_sum
+from .exactgeom import RadVal, newton_volume
 from .prevariety import PrevarietyComplex, cells_via_arrangement
 from .topology import BettiVector, betti_of_complex
-from .tropical import LaurentError, TropSystem, degree, newton_polytope
-
-
-def _newton_sum_volume(s: TropSystem) -> tuple[int, RadVal]:
-    total = newton_polytope(s.polys[0])
-    for f in s.polys[1:]:
-        total = minkowski_sum(total, newton_polytope(f))
-    return total.affine_dim(), total.volume()
+from .tropical import LaurentError, TropSystem, degree
 
 
 def _dense_scale(r: int) -> int:
@@ -33,7 +27,7 @@ def _dense_scale(r: int) -> int:
 
 def dense_volume_bound(s: TropSystem) -> tuple[int, RadVal]:
     """(r, (2^(r+1)-1) * r! * Vol_r of the summed Newton polytopes)."""
-    r, vol = _newton_sum_volume(s)
+    r, vol = newton_volume(s.lifted_hull)
     return r, vol.scaled(_dense_scale(r))
 
 
@@ -94,7 +88,7 @@ def bound_report(s: TropSystem, complex_: PrevarietyComplex, betti: BettiVector)
     """The three bounds checked against a prevariety's cells and Betti numbers."""
     phi = len(complex_.cells)
     total_b = betti.total
-    r, vol = _newton_sum_volume(s)
+    r, vol = newton_volume(s.lifted_hull)
     dense = vol.scaled(_dense_scale(r))
     try:
         d: int | None = _max_degree(s)

@@ -176,6 +176,9 @@ def _cell_json(cell, lineality: int, retract: bool) -> dict:
 
 
 def _bound_report_json(r: BoundReport) -> dict:
+    # vol_r <= dense_bound, so the bound's approximation overflows first
+    if r.dense_bound > sys.float_info.max:
+        raise InputError("dense_bound_approx is beyond float range")
     return {
         "n": r.n,
         "k": r.k,

@@ -5,6 +5,9 @@ A V-polytope's vertices, dimension r and r-volume come from one run of an
 integer placing triangulation, with no LP: the points, scaled to integers,
 are projected onto the pivot columns of their differences, and the r-volume
 is the triangulation's own total times the Gram factor of that projection.
+The lifted Newton sum conv(Q_1 + ... + Q_k) + cone(e) is placed once: its
+bounded faces are the dual route's lower faces, and the placing's total over
+the cones through e gives the volume of the dense bound's Newton sum.
 Volumes are represented as q*sqrt(s) with q rational and s a squarefree
 integer, so that every comparison in the bound checks stays exact.
 """
@@ -14,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -409,12 +412,6 @@ class VPolytope:
         return self._measure()[1]
 
 
-def minkowski_sum(a: VPolytope, b: VPolytope) -> VPolytope:
-    if a.n != b.n:
-        raise DimensionMismatch("ambient dimensions differ")
-    return VPolytope.hull(linalg.vadd(p, q) for p in a.vertices for q in b.vertices)
-
-
 # ------------------------------------------------ integer placing triangulation
 
 
@@ -432,7 +429,12 @@ def _place(points, ray):
     |det| of a cone is the point's distance below the simplex's offset.
     Returns the facets, as sorted primitive (normal, offset) with <normal, x>
     >= offset on the hull (so <normal, ray> >= 0), and the sum of |det|, r!
-    times the volume if there is no ray; neither depends on the point order.
+    times the volume if there is no ray.  With a ray only the simplices
+    through its vertex count: their slices above all points, translates of
+    the projections of their finite points, tile the hull's projection along
+    the ray, so for the ray e_r the total is (r - 1)! times the volume of
+    conv(points) in the first r - 1 coordinates.  Neither depends on the
+    point order.
     """
     pts = list(points)
     r, far = len(pts[0]), len(pts)  # far: the ray's vertex, last in every sorted simplex
@@ -476,7 +478,8 @@ def _place(points, ray):
             continue
         ridges = Counter()
         for verts, normal, offset in visible:
-            total += offset - linalg.dot(normal, q)
+            if ray is None or verts[-1] == far:
+                total += offset - linalg.dot(normal, q)
             ridges.update(verts[:i] + verts[i + 1 :] for i in range(r))
         kept.extend(facet(tuple(sorted(ridge + (p,)))) for ridge, k in ridges.items() if k == 1)
         boundary = kept
@@ -526,70 +529,79 @@ def _hull(pts):
         return list(pts), 0, RadVal(Fraction(1))
     ints, den = linalg.over_common_denominator(pts)
     w, cols, facets, total = _hull_facets(ints, None)
-    r = len(cols)
+    return [pts[i] for i in _vertex_indices(len(pts), facets, len(cols))], len(cols), _volume(w, cols, total, den)
+
+
+def _volume(w, cols, total, den) -> RadVal:
+    """Vol_r = total * sqrt(det(W W^T) / det(W_C)^2) / (r! d^r), as in ``_hull``."""
+    r = len(w)
     gram = Fraction(
         linalg.det([[linalg.dot(a, b) for b in w] for a in w]), linalg.det([[row[c] for c in cols] for row in w]) ** 2
     )
-    volume = RadVal.from_sqrt(Fraction(total, math.factorial(r) * den**r), gram)
-    return [pts[i] for i in _vertex_indices(len(pts), facets, r)], r, volume
+    return RadVal.from_sqrt(Fraction(total, math.factorial(r) * den**r), gram)
 
 
 # ------------------------------------------- lower faces of lifted Minkowski sums
 
 
 def _lifted_hull(points):
-    """Facets of conv(P) + cone(e), P the lowest of the points over each a.
+    """conv(P) + cone(e), P the lowest of the points over each a.
 
     The points are integer (a, b), b the lift, and e is the unit lift.
-    Returns (P, cols, facets): the hull is taken in the pivot columns
-    ``cols`` of the differences and e, which hold the last one, and
-    ``facets`` lists (tight, normal) for each lower or vertical facet, bit i
-    of ``tight`` set when it holds P[i] and bit len(P) when it holds e.
+    Returns P and ``_hull_facets``' (rows, cols, facets, total) for P and e:
+    the pivot columns ``cols`` hold the last one, and ``facets`` are the
+    lower and vertical facets, bit len(P) of ``tight`` set on the vertical.
     """
     # in decreasing order, the last point over each a is the lowest
     low = sorted({p[:-1]: p for p in sorted(points, reverse=True)}.values())
-    _, cols, facets, _ = _hull_facets(low, (0,) * (len(low[0]) - 1) + (1,))
-    return low, cols, facets
+    return (low, *_hull_facets(low, (0,) * (len(low[0]) - 1) + (1,)))
 
 
 def _lower_vertices(points) -> list:
     """The lower vertices of conv(points), integer points (a, b), b the lift:
     the vertices of conv(P) + cone(e), whose facets have normals of full rank."""
-    low, cols, facets = _lifted_hull(points)
+    low, _, cols, facets, _ = _lifted_hull(points)
     return [low[i] for i in _vertex_indices(len(low), facets, len(cols))]
 
 
-def lower_faces(point_sets) -> list:
-    """Lower faces of the Minkowski sum of lifted point sets, with witnesses.
+# ``_lifted_hull``'s (P, rows, cols, facets, total) for a sum of point sets,
+# after the sets times ``den``, the least integer making them integral
+LiftedHull = namedtuple("LiftedHull", "sets den low rows cols facets total")
 
-    Each set holds points (a, b) in Q^r x Q, b the lift.  A face of the sum
-    is lower when some functional (x, 1) attains its minimum over the sum
-    exactly on it.  Returns, per lower face, (x, argmins): such an x, and
-    per set the positions of its points on which (x, 1) is minimal (the
-    summands of the face).
+
+def lifted_sum_hull(point_sets) -> LiftedHull:
+    """conv(Q_1 + ... + Q_k) + cone(e), Q_i sets of points (a, b) in Q^r x Q.
 
     The lower vertices of a sum are sums of lower vertices, so each set and
     the running sum before each further set are pruned to their lower
-    vertices.  The lower faces of the final sum are the bounded faces of
-    conv(sum) + cone(e), e the unit lift: the intersections of its facets,
-    read as sets of tight points, that miss the ray.  The facets through a
-    lower face have normals with last entry <normal, e> >= 0, and as the
-    face misses the ray at least one is > 0, so their sum (w, t) has t > 0
-    and x = w / t selects exactly that face.
+    vertices, and the final sum is placed once: 2k - 1 placings for k sets.
     """
-    sets = [[tuple(Fraction(c) for c in p) for p in pts] for pts in point_sets]
-    flat, _ = linalg.over_common_denominator([p for pts in sets for p in pts])
-    ints, start = [], 0
-    for pts in sets:
-        ints.append(flat[start : start + len(pts)])
-        start += len(pts)
-    r = len(flat[0]) - 1
+    flat, den = linalg.over_common_denominator([p for pts in point_sets for p in pts])
+    it = iter(flat)
+    ints = [[next(it) for _ in pts] for pts in point_sets]
     summed = ints[0]
     for pts in ints[1:]:
         summand = _lower_vertices(pts)
         summed = [linalg.vadd(v, q) for v in _lower_vertices(summed) for q in summand]
-    low, cols, facets = _lifted_hull(summed)
+    return LiftedHull(ints, den, *_lifted_hull(summed))
 
+
+def lower_faces(hull: LiftedHull) -> list:
+    """Lower faces of a lifted Minkowski sum, with witnesses.
+
+    A face of the sum is lower when some functional (x, 1) attains its
+    minimum over the sum exactly on it.  Returns, per lower face, (x,
+    argmins): such an x, and per set the positions of its points on which
+    (x, 1) is minimal (the summands of the face).
+
+    The lower faces are the bounded faces of the hull: the intersections of
+    its facets, read as sets of tight points, that miss the ray.  The facets
+    through a lower face have normals with last entry <normal, e> >= 0, and
+    as the face misses the ray at least one is > 0, so their sum (w, t) has
+    t > 0 and x = w / t selects exactly that face.
+    """
+    ints, _, low, _, cols, facets, _ = hull
+    r = len(low[0]) - 1
     ray = 1 << len(low)
     faces, stack = set(), [t for t, _ in facets]
     while stack:
@@ -614,3 +626,15 @@ def lower_faces(point_sets) -> list:
             argmins.append(frozenset(j for j, v in enumerate(values) if v == least))
         out.append((tuple(Fraction(v, w[r]) for v in w[:r]), tuple(argmins)))
     return out
+
+
+def newton_volume(hull: LiftedHull) -> tuple[int, RadVal]:
+    """(r, Vol_r) of the Newton sum P_1 + ... + P_k, the lifted sum's
+    projection along e: the placing's total is r! den^r times its volume in
+    the pivot columns before the lift's, those of the echelon rows' exponent
+    parts, which span its direction space."""
+    n = len(hull.low[0]) - 1
+    w = [row[:n] for row in hull.rows if any(row[:n])]
+    if hull.cols[-1] != n or len(w) != len(hull.cols) - 1:
+        raise InvariantError("newton_volume", f"pivot columns {hull.cols} do not end with the lift's, {n}")
+    return len(w), _volume(w, hull.cols[:-1], hull.total, hull.den)

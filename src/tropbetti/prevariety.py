@@ -14,7 +14,7 @@ exponents compares its constants.
 
 Route 2 (dual subdivision): the lower faces of Q_1 + ... + Q_k, the sum of
 the lifted point sets {(a_j, b_j)}, with their decomposition
-F = F_1 + ... + F_k, from the integer lower hull (``exactgeom.lower_faces``);
+F = F_1 + ... + F_k, from the integer lower hull (``TropSystem.lifted_hull``);
 no arrangement and no LP.  Each lower face comes with a witness x at which
 (x, 1) selects it, so its pattern is the argmin pattern at x.  Tropical
 faces (a tie in every polynomial) dualize to the closed cells G(F) of the
@@ -243,11 +243,6 @@ class DualFace:
         self.system = system
         self.pattern = pattern
         self.witness = linalg.fvec(witness)
-        lifted = []
-        for i, f in enumerate(system.polys):
-            pts = tuple(tuple(f.monomials[j].a) + (f.monomials[j].b,) for j in sorted(self.pattern.row(i)))
-            lifted.append(pts)
-        self.parts = tuple(lifted)
 
     def __repr__(self):
         return f"DualFace(dim={self.dim}, tropical={self.tropical})"
@@ -257,6 +252,14 @@ class DualFace:
 
     def __hash__(self):
         return hash(self.pattern)
+
+    @cached_property
+    def parts(self) -> tuple:
+        """The lifted points (a_j, b_j) of each summand F_i, built on demand."""
+        return tuple(
+            tuple((*f.monomials[j].a, f.monomials[j].b) for j in sorted(self.pattern.row(i)))
+            for i, f in enumerate(self.system.polys)
+        )
 
     @cached_property
     def dim(self) -> int:
@@ -272,10 +275,9 @@ class DualFace:
 
 
 def dual_subdivision(s: TropSystem) -> list[DualFace]:
-    """All lower faces of Q_1 + ... + Q_k, from the integer lower hull."""
-    lifted = [[tuple(m.a) + (m.b,) for m in f.monomials] for f in s.polys]
+    """All lower faces of Q_1 + ... + Q_k, from the system's lifted hull."""
     seen: dict[TiePattern, DualFace] = {}
-    for x, argmins in lower_faces(lifted):
+    for x, argmins in lower_faces(s.lifted_hull):
         b = TiePattern(tuple((i, j) for i, row in enumerate(argmins) for j in sorted(row)))
         if b in seen:
             raise InvariantError("dual_subdivision", f"two lower faces with pattern {b.pairs}")

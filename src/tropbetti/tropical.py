@@ -14,7 +14,7 @@ from functools import cached_property
 
 from . import linalg
 from .arrangement import Arrangement, build_arrangement
-from .exactgeom import DimensionMismatch, VPolytope
+from .exactgeom import DimensionMismatch, LiftedHull, lifted_sum_hull
 
 
 class LaurentError(ValueError):
@@ -71,7 +71,11 @@ class TropPoly:
 
 
 class TropSystem:
-    """Finite system of tropical polynomials in shared variables."""
+    """Finite system of tropical polynomials in shared variables.
+
+    It owns what its analyses share: the tie arrangement, and the hull of
+    the lifted Newton sum, which gives the dual route and the dense volume.
+    """
 
     def __init__(self, n: int, polys):
         polys = tuple(polys)
@@ -105,6 +109,11 @@ class TropSystem:
         """
         return build_arrangement(self)
 
+    @cached_property
+    def lifted_hull(self) -> LiftedHull:
+        """conv(Q_1 + ... + Q_k) + cone(e) for the lifted monomials (a, b)."""
+        return lifted_sum_hull([[(*m.a, m.b) for m in f.monomials] for f in self.polys])
+
 
 def eval_poly(f: TropPoly, x) -> tuple[Fraction, frozenset[int]]:
     """(min value, set of monomial indices attaining it)."""
@@ -129,10 +138,6 @@ def is_zero(f: TropPoly, x) -> bool:
 
 def is_system_zero(s: TropSystem, x) -> bool:
     return all(is_zero(f, x) for f in s.polys)
-
-
-def newton_polytope(f: TropPoly) -> VPolytope:
-    return VPolytope.hull([mon.a for mon in f.monomials])
 
 
 def trop_mul(f: TropPoly, g: TropPoly) -> TropPoly:

@@ -13,6 +13,10 @@ Each oracle deliberately avoids the code path it is used to check:
 - ``simplex_volume_sq`` is the squared volume of an r-simplex in Q^n from
   sympy's determinant of the Gram matrix of its edge vectors; the volume
   under test comes from a placing triangulation of a projection.
+- ``newton_polytope`` and ``minkowski_sum`` hull the unlifted Newton
+  polytopes and their sums point by point (``VPolytope.hull``); the dense
+  volume under test is read from the placing of the lifted sum, over the
+  cones through its ray.
 - ``hull_vertices_lp`` keeps the points that no exact LP writes as a convex
   combination of the other points; the hull under test uses no LP.
 - ``lower_vertices_raised`` and ``lower_faces_raised`` take lower hulls as
@@ -49,7 +53,7 @@ import sympy
 
 from tropbetti import exactgeom, linalg
 from tropbetti.cli import sign_vectors_bruteforce  # the one copy; re-exported here
-from tropbetti.exactgeom import HPolyhedron
+from tropbetti.exactgeom import DimensionMismatch, HPolyhedron, VPolytope
 from tropbetti.linprog import LPStatus, solve_lp
 from tropbetti.prevariety import DualFace, TiePattern, _pattern_reader
 from tropbetti.tropical import TropPoly, eval_poly, is_zero
@@ -124,6 +128,16 @@ def simplex_volume_sq(verts) -> Fraction:
     return Fraction(str((d * d.T).det() / sympy.factorial(d.rows) ** 2))
 
 
+def newton_polytope(f: TropPoly) -> VPolytope:
+    return VPolytope.hull([mon.a for mon in f.monomials])
+
+
+def minkowski_sum(a: VPolytope, b: VPolytope) -> VPolytope:
+    if a.n != b.n:
+        raise DimensionMismatch("ambient dimensions differ")
+    return VPolytope.hull(linalg.vadd(p, q) for p in a.vertices for q in b.vertices)
+
+
 def hull_vertices_lp(points) -> list[tuple[Fraction, ...]]:
     """Sorted vertices of conv(points), one LP per point."""
     pts = sorted({tuple(Fraction(x) for x in p) for p in points})
@@ -163,9 +177,10 @@ def lower_vertices_raised(points) -> list:
 
 
 def lower_faces_raised(point_sets) -> list:
-    """``exactgeom.lower_faces`` from raised copies: the summands and running
-    sums pruned by ``lower_vertices_raised``, the final sum pruned and hulled
-    again, its lower faces the facet intersections without a raised point."""
+    """``exactgeom.lower_faces`` of the lifted sum, from raised copies: the
+    summands and running sums pruned by ``lower_vertices_raised``, the final
+    sum pruned and hulled again, its lower faces the facet intersections
+    without a raised point."""
     sets = [[tuple(Fraction(c) for c in p) for p in pts] for pts in point_sets]
     flat, _ = linalg.over_common_denominator([p for pts in sets for p in pts])
     ints, start = [], 0

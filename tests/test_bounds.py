@@ -3,14 +3,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
 
 from tropbetti.bounds import degree_bound, dense_volume_bound, sparse_bound, verify_bounds
 from tropbetti.corpus import random_system, system_corpus
-from tropbetti.exactgeom import RadVal
+from tropbetti.exactgeom import RadVal, newton_volume
 from tropbetti.realize import gen_grid_example
 from tropbetti.tropical import LaurentError, LinForm, TropPoly, TropSystem
 
 from corpus_volumes import CORPUS_SEED, DENSE_VOLUMES
+from oracles import minkowski_sum, newton_polytope
+from strategies import small_systems
 
 
 def poly(*mons, laurent=False):
@@ -37,6 +40,33 @@ def test_dense_volumes_pinned_on_corpus():
         vol = RadVal(Fraction(q), rad)
         scale = (2 ** (r + 1) - 1) * math.factorial(r)
         assert dense_volume_bound(s) == (r, vol.scaled(scale)), f"system {i}"
+
+
+@given(small_systems())
+@example(TropSystem(2, [poly(((0, 0), 0), ((2, 1), 1), ((1, 3), 0))]))  # k = 1
+@example(TropSystem(2, [poly(((1, 1), 0), ((1, 1), 2)), poly(((0, 2), 1))]))  # the sum is a point
+# exponents on a line, lifts off it: a segment of length 2 sqrt(2)
+@example(TropSystem(2, [poly(((0, 0), 0), ((1, 1), 1), ((2, 2), 0))]))
+@example(  # rational constants: the lifted points share the denominator 15
+    TropSystem(2, [poly(((0, 0), Fraction(1, 3)), ((2, 0), 0)), poly(((0, 0), 0), ((1, 2), Fraction(2, 5)))])
+)
+@example(  # Laurent exponents
+    TropSystem(
+        2,
+        [poly(((-1, 0), 0), ((0, 2), 1), ((1, -1), 0), laurent=True), poly(((0, -2), 0), ((1, 1), 0), laurent=True)],
+    )
+)
+@settings(deadline=None, max_examples=150)
+def test_newton_volume_matches_unlifted_minkowski_sum(s):
+    """(r, Vol_r) read from the lifted hull's placing equals the hull of the
+    unlifted Newton sum, built polytope by polytope."""
+    total = newton_polytope(s.polys[0])
+    for f in s.polys[1:]:
+        total = minkowski_sum(total, newton_polytope(f))
+    r, vol = newton_volume(s.lifted_hull)
+    assert (r, vol) == (total.affine_dim(), total.volume())
+    if r == 0:
+        assert vol == 1 and verify_bounds(s).dense_degenerate
 
 
 def test_dense_volume_bound_degenerate():

@@ -203,6 +203,26 @@ def test_missing_file_is_input_error(capsys):
     assert code == 1 and "cannot read" in err
 
 
+def test_dense_bound_beyond_float_range_is_an_input_error(capsys, monkeypatch):
+    # a triangle of area about 10^2200 / 2: an exact bound no float can hold
+    doc = '{"n":2,"polys":[[[[%s,0],"0"],[[0,1],"0"],[[0,0],"0"]]]}' % ("9" * 2200)
+    for command in ("bounds", "check"):
+        code, out, err = run(capsys, [command, "-"], doc, monkeypatch)
+        assert code == 1 and out == ""
+        assert err.splitlines() == ["error: dense_bound_approx is beyond float range"]
+
+
+def test_check_places_the_newton_sum_once(monkeypatch):
+    """The dual route and the dense volume share one lifted hull: k
+    polynomials make 2k - 1 placings, and the bounds add none."""
+    calls = []
+    place = exactgeom._place
+    monkeypatch.setattr(exactgeom, "_place", lambda points, ray: calls.append(ray) or place(points, ray))
+    s = gen_grid_example(3, 3)
+    assert check_system(s)["all_ok"]
+    assert s.k == 3 and len(calls) == 2 * 3 - 1
+
+
 def test_invariant_error_exits_2(capsys, monkeypatch, tmp_path):
     real = exactgeom.solve_lp
 
@@ -228,7 +248,7 @@ def test_check_output_same_under_python_O(tmp_path):
     square.write_text(json.dumps(serialize_system(complex_prevariety(parse_complex(SQUARE_DOC.encode())))))
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    for command, target in (("check", path), ("betti", square), ("cells", square)):
+    for command, target in (("check", path), ("bounds", path), ("betti", square), ("cells", square)):
         outs = []
         for flags in (["-O"], []):
             proc = subprocess.run(

@@ -15,7 +15,6 @@ from tropbetti.exactgeom import (
     InvariantError,
     RadVal,
     VPolytope,
-    minkowski_sum,
     sqfree_decompose,
 )
 
@@ -25,6 +24,7 @@ from oracles import (
     lifted_hull_raised,
     lower_faces_raised,
     lower_vertices_raised,
+    minkowski_sum,
     polygon_area,
     simplex_volume_sq,
 )
@@ -298,11 +298,10 @@ def test_place_does_not_depend_on_point_order(n, kind, data):
     facets, total = exactgeom._place(pts, ray)
     shuffled = exactgeom._place(data.draw(st.permutations(pts)), ray)
     in_order = exactgeom._place(sorted(pts), ray)
-    if ray is None:
-        assert shuffled == in_order == (facets, total)
-    else:
-        # with a ray the total counts unbounded cones too and means nothing
-        assert shuffled[0] == in_order[0] == facets
+    # with a ray the total counts the cones through it, whose slices tile
+    # the projection of the hull along the ray
+    assert shuffled == in_order == (facets, total)
+    if ray is not None:
         assert all(sum(a * x for a, x in zip(normal, ray)) >= 0 for normal, _ in facets)
     assert all(sum(a * x for a, x in zip(normal, p)) >= offset for normal, offset in facets for p in pts)
     # every facet holds a point, and the facets are distinct
@@ -329,7 +328,7 @@ def test_ray_hulls_match_raised_copies(sets):
     conv(P ∪ (P + e)), which the oracle builds from raised copies."""
     for pts in sets:
         ints = [tuple(p[:-1]) + (int(p[-1] * 6),) for p in pts]
-        low, cols, facets = exactgeom._lifted_hull(ints)
+        low, _, cols, facets, _ = exactgeom._lifted_hull(ints)
         raised_low, raised_cols, raised = lifted_hull_raised(ints)
         bottom = (1 << len(low)) - 1
         assert (low, cols) == (raised_low, raised_cols)
@@ -337,7 +336,7 @@ def test_ray_hulls_match_raised_copies(sets):
         # the ray's bit marks exactly the vertical facets
         assert all(bool(t >> len(low) & 1) == (a[-1] == 0) for t, a in facets)
         assert exactgeom._lower_vertices(ints) == lower_vertices_raised(ints)
-    faces = exactgeom.lower_faces(sets)
+    faces = exactgeom.lower_faces(exactgeom.lifted_sum_hull(sets))
     assert len(faces) == len(set(faces)) and set(faces) == set(lower_faces_raised(sets))
 
 
@@ -350,7 +349,7 @@ def test_lower_faces_hulls_each_sum_once(monkeypatch):
     calls = []
     place = exactgeom._place
     monkeypatch.setattr(exactgeom, "_place", lambda points, ray: calls.append(len(points)) or place(points, ray))
-    exactgeom.lower_faces(sets)
+    exactgeom.lifted_sum_hull(sets)
     assert len(sets) == 3 and len(calls) == 2 * 3 - 1
     assert max(calls) == calls[-1] == 64
 
@@ -359,7 +358,7 @@ def test_lower_faces_of_lifted_square():
     # the unit square lifted at (1, 1): two lower triangles meeting on the
     # diagonal from (1, 0) to (0, 1), 5 lower edges and 4 lower vertices
     square = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 1)]
-    faces = exactgeom.lower_faces([square])
+    faces = exactgeom.lower_faces(exactgeom.lifted_sum_hull([square]))
     argmins = sorted(sorted(sets[0]) for _, sets in faces)
     assert argmins == [[0], [0, 1], [0, 1, 2], [0, 2], [1], [1, 2], [1, 2, 3], [1, 3], [2], [2, 3], [3]]
     for x, (rows,) in faces:
@@ -367,7 +366,7 @@ def test_lower_faces_of_lifted_square():
         assert rows == {j for j, v in enumerate(values) if v == min(values)}
     # a segment plus the square: the sum has the segment's two ends as summands
     segment = [(0, 0, Fraction(1, 2)), (2, 0, 0)]
-    faces = exactgeom.lower_faces([square, segment])
+    faces = exactgeom.lower_faces(exactgeom.lifted_sum_hull([square, segment]))
     assert all(len(rows) == 2 for _, rows in faces)
     assert {rows[1] for _, rows in faces} == {frozenset({0}), frozenset({1}), frozenset({0, 1})}
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from tropbetti.arrangement import enumerate_faces
 from tropbetti.corpus import random_system, system_corpus
-from tropbetti.exactgeom import EmptyPolyhedronError, HPolyhedron, VPolytope, minkowski_sum
+from tropbetti.exactgeom import EmptyPolyhedronError, HPolyhedron, VPolytope
 from tropbetti.prevariety import (
     TiePattern,
     _pattern_reader,
@@ -20,7 +20,7 @@ from tropbetti.prevariety import (
 from tropbetti.realize import ComplexDescription, complex_prevariety, gen_grid_example
 from tropbetti.tropical import LinForm, TropPoly, TropSystem, is_system_zero
 
-from oracles import dual_patterns_by_faces, face_at, pattern_at
+from oracles import dual_patterns_by_faces, face_at, minkowski_sum, pattern_at
 from strategies import small_systems
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropbetti.exactgeom import DimensionMismatch, minkowski_sum
+from tropbetti.exactgeom import DimensionMismatch
 from tropbetti.tropical import (
     LaurentError,
     LinForm,
@@ -15,11 +15,10 @@ from tropbetti.tropical import (
     eval_poly,
     is_zero,
     make_coeffs_nonneg,
-    newton_polytope,
     trop_mul,
 )
 
-from oracles import univariate_zeros
+from oracles import minkowski_sum, newton_polytope, univariate_zeros
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
