@@ -83,7 +83,7 @@ class ArrFace:
     def __init__(self, signs: tuple[int, ...], dim: int, witness):
         self.signs = signs
         self.dim = dim
-        self.witness = linalg.fvec(witness)
+        self.witness = witness
 
     def __repr__(self):
         return f"ArrFace(dim={self.dim}, signs={''.join('0+-'[s] for s in self.signs)})"

@@ -154,24 +154,18 @@ def serialize_system(s: TropSystem) -> dict:
     return doc
 
 
-def _hrep_json(p: HPolyhedron) -> dict:
-    form = p.canonical()
-    if form.empty:
-        return {"empty": True}
+def _cell_json(comp: PrevarietyComplex, i: int) -> dict:
+    form = comp.hrep(i)
     return {
-        "empty": False,
-        "eqs": [[list(a), _rat_json(b)] for a, b in form.eqs],
-        "ineqs": [[list(a), _rat_json(b)] for a, b in form.ineqs],
-    }
-
-
-def _cell_json(cell, lineality: int, retract: bool) -> dict:
-    return {
-        "pattern": [list(p) for p in cell.pattern.pairs],
-        "dim": cell.dim,
-        "bounded": lineality == 0 and retract,
-        "lineality_dim": lineality,
-        "hrep": _hrep_json(cell.closure),
+        "pattern": [list(p) for p in comp.cells[i].pattern.pairs],
+        "dim": comp.cells[i].dim,
+        "bounded": comp.lineality[i] == 0 and comp.retract[i],
+        "lineality_dim": comp.lineality[i],
+        "hrep": {
+            "empty": False,
+            "eqs": [[list(a), _rat_json(b)] for a, b in form.eqs],
+            "ineqs": [[list(a), _rat_json(b)] for a, b in form.ineqs],
+        },
     }
 
 
@@ -308,7 +302,7 @@ def _cmd_cells(args) -> tuple[dict, int]:
     comp = cells_via_arrangement(parse_system(_read_input(args)))
     if args.emit_off:
         _emit_off(args.emit_off, comp)
-    return {"cells": [_cell_json(*c) for c in zip(comp.cells, comp.lineality, comp.retract)]}, 0
+    return {"cells": [_cell_json(comp, i) for i in range(len(comp.cells))]}, 0
 
 
 def _cmd_betti(args) -> tuple[list, int]:

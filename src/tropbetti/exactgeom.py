@@ -1,6 +1,8 @@
 """Exact rational convex geometry: H-polyhedra, V-polytopes, volumes.
 
-H-polyhedron predicates are decided by exact rational LP (see linprog).
+H-polyhedron predicates are decided by exact rational LP (see linprog);
+``HPolyhedron`` serves ``realize`` input and the tests' reference.  Its
+``canonical`` and the cells' poset H-reps share ``canonical_form``.
 A V-polytope's vertices, dimension r and r-volume come from one run of an
 integer placing triangulation, with no LP: the points, scaled to integers,
 are projected onto the pivot columns of their differences, and the r-volume
@@ -18,7 +20,7 @@ import itertools
 import math
 import random
 from collections import Counter, namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import linalg
@@ -148,6 +150,25 @@ class CanonicalHRep:
     ineqs: tuple = ()
 
 
+def canonical_form(n: int, hull, ineqs) -> CanonicalHRep:
+    """Canonical form of a nonempty polyhedron from rows (a, b): equalities
+    <a, x> = b that cut out its affine hull, and inequalities <a, x> >= b.
+
+    The equalities become the hull's reduced echelon rows (A | b), coprime
+    with positive pivots.  Each inequality is reduced modulo them, which
+    scales it by a positive factor, and made canonical; rows that vanish
+    on the hull are dropped.  Redundant inequalities are kept.
+    """
+    red, pivots = linalg.reduced_echelon(linalg.integral_rows((*a, b) for a, b in hull))
+    reduced = set()
+    for row in linalg.integral_rows((*a, b) for a, b in ineqs):
+        row = linalg.eliminate(row, red, pivots)
+        if any(row[:n]):
+            reduced.add(_canon_row(row[:n], row[n], False))
+    eqs = tuple((row[:n], Fraction(row[n])) for row in red)
+    return CanonicalHRep(n, False, eqs, tuple(sorted(reduced)))
+
+
 class HPolyhedron:
     """{x : <a,x> = b for eqs, <a,x> >= b for ineqs}, exact rational data.
 
@@ -199,16 +220,6 @@ class HPolyhedron:
                 res = solve_lp(self.n, eqs, ineqs)
                 self._cache["feas"] = res.x if res.status is LPStatus.OPTIMAL else None
         return self._cache["feas"]
-
-    def record_point(self, point, stage: str) -> None:
-        """Take a point known to lie in the polyhedron as its feasible point.
-
-        Spares the emptiness LP; a point outside is a defect of the caller
-        and raises ``InvariantError`` naming its stage.
-        """
-        if not self.contains(point):
-            raise InvariantError(stage, "recorded point lies outside the polyhedron")
-        self._cache.setdefault("feas", linalg.fvec(point))
 
     def is_empty(self) -> bool:
         return self.feasible_point() is None
@@ -314,44 +325,24 @@ class HPolyhedron:
     def canonical(self) -> CanonicalHRep:
         if "canon" in self._cache:
             return self._cache["canon"]
-        r = self._relint()
-        if r is None:
+        if self._relint() is None:
             form = CanonicalHRep(self.n, True)
             self._cache["canon"] = form
             return form
-        # The affine hull's reduced echelon rows (A | b), coprime with
-        # positive pivots: the rational reduced rows made primitive.
-        red, pivots = linalg.reduced_echelon(linalg.integral_rows((*a, b) for a, b in self.affine_hull_rows()))
-        eq_rows = [(row[: self.n], Fraction(row[self.n])) for row in red]
-        # reduce inequalities modulo the affine hull rows; elimination by a
-        # positive pivot scales the rational result by a positive factor
-        implicit, _ = r
-        ineqs = [(*a, b) for i, (a, b) in enumerate(self.ineq) if i not in implicit]
-        seen = set()
-        reduced = []
-        for row in linalg.integral_rows(ineqs):
-            row = linalg.eliminate(row, red, pivots)
-            normal, rhs = row[: self.n], row[self.n]
-            if not any(normal):
-                continue
-            key = _canon_row(normal, rhs, False)
-            if key not in seen:
-                seen.add(key)
-                reduced.append(key)
-        # strip redundant inequalities
-        reduced.sort()
-        eqs_lp = [(list(a), b) for a, b in eq_rows]
-        kept = list(reduced)
+        form = canonical_form(self.n, self.affine_hull_rows(), self.ineq)
+        # strip redundant inequalities, one LP each
+        eqs = [(list(a), b) for a, b in form.eqs]
+        kept = list(form.ineqs)
         i = 0
         while i < len(kept):
             a, b = kept[i]
             others = [(list(c), d) for j, (c, d) in enumerate(kept) if j != i]
-            res = solve_lp(self.n, eqs_lp, others, list(a), maximize=False)
+            res = solve_lp(self.n, eqs, others, list(a), maximize=False)
             if res.status is LPStatus.OPTIMAL and res.value >= b:
                 del kept[i]
             else:
                 i += 1
-        form = CanonicalHRep(self.n, False, tuple(eq_rows), tuple(kept))
+        form = replace(form, ineqs=tuple(kept))
         self._cache["canon"] = form
         return form
 

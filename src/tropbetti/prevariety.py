@@ -20,6 +20,10 @@ no arrangement and no LP.  Each lower face comes with a witness x at which
 faces (a tie in every polynomial) dualize to the closed cells G(F) of the
 prevariety, with dim F + dim G(F) = n; ``dual_cell`` checks by exact
 evaluation that the witness has exactly F's pattern.
+
+The faces of the closure of U_B are the cells whose pattern contains B;
+lineality, the retract and each cell's canonical H-representation are read
+from that face poset, with no H-polyhedron and no LP.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from functools import cached_property
 
 from . import linalg
 from .arrangement import ArrFace, Arrangement
-from .exactgeom import HPolyhedron, InvariantError, lower_faces
+from .exactgeom import CanonicalHRep, InvariantError, canonical_form, lower_faces
 from .tropical import TropSystem, eval_poly
 
 
@@ -106,33 +110,13 @@ def _pattern_reader(s: TropSystem, arr: Arrangement):
     return read
 
 
-def pattern_closure(s: TropSystem, b: TiePattern) -> HPolyhedron:
-    """{x : ties of B hold with equality and weakly below all other monomials}."""
-    eqs, ineqs = [], []
-    for i, f in enumerate(s.polys):
-        row = sorted(b.row(i))
-        if not row:
-            continue
-        m0 = f.monomials[row[0]]
-        for j in row[1:]:
-            mj = f.monomials[j]
-            eqs.append((linalg.vsub(mj.a, m0.a), m0.b - mj.b))
-        for j in range(f.m):
-            if j in row:
-                continue
-            mj = f.monomials[j]
-            ineqs.append((linalg.vsub(mj.a, m0.a), m0.b - mj.b))
-    return HPolyhedron(s.n, eqs, ineqs)
-
-
 class PrevarietyCell:
-    """One relatively open cell U_B with its closed polyhedron."""
+    """One relatively open cell U_B: its pattern, dimension and a point."""
 
-    def __init__(self, system: TropSystem, pattern: TiePattern, dim: int, witness):
-        self.system = system
+    def __init__(self, pattern: TiePattern, dim: int, witness):
         self.pattern = pattern
         self.dim = dim
-        self.witness = linalg.fvec(witness)
+        self.witness = witness
 
     def __repr__(self):
         return f"PrevarietyCell(dim={self.dim}, pattern={self.pattern.pairs})"
@@ -142,13 +126,6 @@ class PrevarietyCell:
 
     def __hash__(self):
         return hash(self.pattern)
-
-    @cached_property
-    def closure(self) -> HPolyhedron:
-        closure = pattern_closure(self.system, self.pattern)
-        # the witness has pattern B, so it lies in U_B and in its closure
-        closure.record_point(self.witness, "PrevarietyCell.closure")
-        return closure
 
 
 class PrevarietyComplex:
@@ -193,6 +170,35 @@ class PrevarietyComplex:
     def __repr__(self):
         return f"PrevarietyComplex(cells={len(self.cells)})"
 
+    def hrep(self, i: int) -> CanonicalHRep:
+        """Canonical H-representation of the closure of cell i, with no LP.
+
+        With j0 = min B.row(p) for each polynomial p, the closure is the set
+        where m_j = m_j0 for j in B.row(p) and m_q >= m_j0 otherwise.  At the
+        witness every m_q is strictly above m_j0, so the ties alone cut out
+        the affine hull.  The facets are the faces of dimension dim - 1, and
+        a facet has one irredundant inequality modulo the hull (Ziegler,
+        *Lectures on Polytopes*): m_q >= m_j0 for any pair (p, q) of the
+        facet's pattern outside B, which is tight on the facet.
+        """
+        cell = self.cells[i]
+        ties = set(cell.pattern.pairs)
+        first = {p: min(cell.pattern.row(p)) for p in range(self.system.k)}
+
+        def row(p, q):
+            # m_q >= m_j0 reads <a_q - a_j0, x> >= b_j0 - b_q
+            mons = self.system.polys[p].monomials
+            m0, mq = mons[first[p]], mons[q]
+            return linalg.vsub(mq.a, m0.a), m0.b - mq.b
+
+        eqs = [row(p, q) for p, q in cell.pattern.pairs if q != first[p]]
+        ineqs = []
+        for j in self.faces[i]:
+            face = self.cells[j]
+            if face.dim == cell.dim - 1:
+                ineqs.append(row(*next(pq for pq in face.pattern.pairs if pq not in ties)))
+        return canonical_form(self.system.n, eqs, ineqs)
+
     def _label_components(self) -> tuple[int, ...]:
         parent = list(range(len(self.cells)))
 
@@ -228,7 +234,7 @@ def cells_via_arrangement(s: TropSystem) -> PrevarietyComplex:
     cells = []
     for b, faces in groups.items():
         top = max(faces, key=lambda f: f.dim)
-        cells.append(PrevarietyCell(s, b, top.dim, top.witness))
+        cells.append(PrevarietyCell(b, top.dim, top.witness))
     return PrevarietyComplex(s, cells)
 
 
@@ -242,7 +248,7 @@ class DualFace:
     def __init__(self, system: TropSystem, pattern: TiePattern, witness):
         self.system = system
         self.pattern = pattern
-        self.witness = linalg.fvec(witness)
+        self.witness = witness
 
     def __repr__(self):
         return f"DualFace(dim={self.dim}, tropical={self.tropical})"
@@ -301,7 +307,7 @@ def dual_cell(s: TropSystem, f: DualFace) -> PrevarietyCell:
     at_witness = [eval_poly(g, f.witness)[1] for g in s.polys]
     if any(argmin != f.pattern.row(i) for i, argmin in enumerate(at_witness)):
         raise InvariantError("dual_cell", f"witness {f.witness} does not have pattern {f.pattern.pairs}")
-    return PrevarietyCell(s, f.pattern, s.n - f.dim, f.witness)
+    return PrevarietyCell(f.pattern, s.n - f.dim, f.witness)
 
 
 def connected_components(c: PrevarietyComplex) -> list[list[PrevarietyCell]]:

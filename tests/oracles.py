@@ -33,6 +33,9 @@ Each oracle deliberately avoids the code path it is used to check:
 - ``dual_patterns_by_faces`` reads the dual subdivision's patterns off
   every face of the tie arrangement; the dual route under test takes the
   lower hull of the lifted Newton sum and never builds the arrangement.
+- ``pattern_closure`` writes a cell's closure with a row per tie and per
+  other monomial, so ``HPolyhedron.canonical`` strips redundant rows by LP;
+  ``PrevarietyComplex.hrep`` reads one row per facet from the face poset.
 - ``sliced_closures`` cuts each cell's closure with the orthogonal
   complement of the component's lineality space, found as a nullspace of
   all closure normals; ``PrevarietyComplex.lineality`` and ``retract``
@@ -275,7 +278,27 @@ def vscale(c, a) -> tuple[Fraction, ...]:
     return tuple(c * x for x in a)
 
 
-def sliced_closures(component) -> tuple[int, list]:
+def pattern_closure(s, b: TiePattern) -> HPolyhedron:
+    """{x : ties of B hold with equality and weakly below all other monomials}.
+
+    Every tie and every other monomial gives a row; its canonical form needs
+    one LP per inequality.  ``PrevarietyComplex.hrep`` reads the same form
+    from the face poset, one inequality per facet, with no LP.
+    """
+    eqs, ineqs = [], []
+    for i, f in enumerate(s.polys):
+        row = sorted(b.row(i))
+        if not row:
+            continue
+        m0 = f.monomials[row[0]]
+        for j in range(f.m):
+            if j != row[0]:
+                mj = f.monomials[j]
+                (eqs if j in row else ineqs).append((linalg.vsub(mj.a, m0.a), m0.b - mj.b))
+    return HPolyhedron(s.n, eqs, ineqs)
+
+
+def sliced_closures(s, component) -> tuple[int, list]:
     """(d, closures sliced by L-perp) for a connected component of cells.
 
     L, the lineality space the component's closures share, is the nullspace
@@ -283,21 +306,21 @@ def sliced_closures(component) -> tuple[int, list]:
     L-perp through the origin, and its witness minus its L-component must
     lie in the cut.  A cut is pointed, and the retract is the bounded cuts.
     """
-    n = component[0].system.n
-    normals = [list(a) for cell in component for a, _ in cell.closure.eq + cell.closure.ineq]
-    basis = linalg.nullspace(normals, n)
+    closures = [pattern_closure(s, cell.pattern) for cell in component]
+    normals = [list(a) for p in closures for a, _ in p.eq + p.ineq]
+    basis = linalg.nullspace(normals, s.n)
     if not basis:
-        return 0, [cell.closure for cell in component]
+        return 0, closures
     gram = [[linalg.dot(u, v) for v in basis] for u in basis]
-    cut = HPolyhedron(n, [(u, 0) for u in basis], [])
+    cut = HPolyhedron(s.n, [(u, 0) for u in basis], [])
     sliced = []
-    for cell in component:
+    for cell, closure in zip(component, closures):
         coeffs = linalg.solve(gram, [linalg.dot(u, cell.witness) for u in basis])
         w = cell.witness
         for c, u in zip(coeffs, basis):
             w = linalg.vsub(w, vscale(c, u))
-        p = cell.closure.intersect(cut)
-        p.record_point(w, "sliced_closures")
+        p = closure.intersect(cut)
+        assert p.contains(w), "the sliced witness lies outside the sliced closure"
         sliced.append(p)
     return len(basis), sliced
 

@@ -16,8 +16,8 @@ from tropbetti.cli import (
     parse_system,
     serialize_system,
 )
-from tropbetti import arrangement, cli, exactgeom, linprog, prevariety
-from tropbetti.corpus import random_system, system_corpus
+from tropbetti import arrangement, cli, exactgeom, linprog
+from tropbetti.corpus import complex_corpus, random_system, system_corpus
 from tropbetti.exactgeom import InvariantError
 from tropbetti.linprog import LPResult, LPStatus
 from tropbetti.prevariety import DualFace, cells_via_arrangement, dual_subdivision
@@ -25,7 +25,7 @@ from tropbetti.realize import complex_prevariety, gen_grid_example
 from tropbetti.topology import betti_of_complex
 from tropbetti.tropical import LinForm, TropPoly, TropSystem
 
-from cli_digests import CHECK_CORPUS, CORPUS_COUNT, CORPUS_SEED, DIGESTS, EMIT_OFF
+from cli_digests import CHECK_CORPUS, CORPUS_COUNT, CORPUS_SEED, DIGESTS, EMIT_OFF, REALIZED_CELLS
 
 LINE_DOC = '{"n":2,"polys":[[[[1,0],"0"],[[0,1],"0"],[[0,0],"0"]]]}'
 # the boundary of the unit square, acceptance criterion 6's circle
@@ -308,20 +308,23 @@ def test_emit_off_matches_pinned_digests(tmp_path, capsys):
 
 
 def test_check_and_betti_build_no_polyhedron(monkeypatch):
-    """Cells, dual cells, lineality and the retract come without H-polyhedra or LPs."""
+    """Cells, dual cells, lineality, the retract and the cells' H-representations
+    (the ``cells`` report) come without H-polyhedra or LPs."""
     circle = complex_prevariety(parse_complex(SQUARE_DOC.encode()))
     systems = [gen_grid_example(3, 3)] + system_corpus(CORPUS_SEED, 10)
 
     def refuse(*args, **kwargs):
         raise AssertionError("built an H-polyhedron or solved an LP")
 
-    monkeypatch.setattr(prevariety, "pattern_closure", refuse)
     monkeypatch.setattr(exactgeom.HPolyhedron, "__init__", refuse)
     monkeypatch.setattr(exactgeom, "solve_lp", refuse)
     monkeypatch.setattr(linprog, "solve_lp", refuse)
     for s in systems:
         assert check_system(s)["all_ok"]
     assert betti_of_complex(cells_via_arrangement(circle)).b == (1, 1)
+    for s in systems + [circle]:
+        comp = cells_via_arrangement(s)
+        assert all(not cli._cell_json(comp, i)["hrep"]["empty"] for i in range(len(comp.cells)))
 
 
 def test_check_enumerates_faces_once_per_system(monkeypatch):
@@ -427,7 +430,7 @@ def test_check_duality_catches_a_misdimensioned_dual_face(monkeypatch):
 def test_check_fails_on_a_wrong_dual_witness(capsys, monkeypatch):
     def move_witness(s, faces):
         i = _first_tropical(faces)
-        faces[i] = DualFace(s, faces[i].pattern, [x + 7 for x in faces[i].witness])
+        faces[i] = DualFace(s, faces[i].pattern, tuple(x + 7 for x in faces[i].witness))
 
     _mutated_dual_route(monkeypatch, move_witness)
     with pytest.raises(InvariantError, match="^dual_cell: witness"):
@@ -458,4 +461,18 @@ def test_cli_stdout_matches_pinned_digests(tmp_path, capsys):
     assert main(["check", "--corpus", str(corpus)]) == 0
     if digest() != CHECK_CORPUS:
         changed.append("check --corpus")
+    assert changed == []
+
+
+def test_cells_on_realized_complexes_match_pinned_digests(tmp_path, capsys):
+    """``cells`` stdout on realized complexes, with unbounded cells and lineality."""
+    corpus = complex_corpus(7, 40)
+    changed = []
+    for key, pinned in REALIZED_CELLS.items():
+        c = parse_complex(SQUARE_DOC.encode()) if key == "square" else corpus[key]
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps(serialize_system(complex_prevariety(c))))
+        assert main(["cells", str(path)]) == 0
+        if hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() != pinned:
+            changed.append(key)
     assert changed == []

@@ -1,6 +1,7 @@
 import ast
 import math
 import operator
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,9 +13,9 @@ from tropbetti import exactgeom
 from tropbetti.exactgeom import (
     EmptyPolyhedronError,
     HPolyhedron,
-    InvariantError,
     RadVal,
     VPolytope,
+    canonical_form,
     sqfree_decompose,
 )
 
@@ -100,14 +101,6 @@ def test_lp_feasible_diagonal():
     assert not p.is_empty()
     x, y = p.feasible_point()
     assert x == y and x >= 0
-
-
-def test_record_point():
-    p = HPolyhedron(1, [], [((1,), 0), ((-1,), -1)])
-    p.record_point((Fraction(1, 3),), "test")
-    assert p.feasible_point() == (Fraction(1, 3),)
-    with pytest.raises(InvariantError, match="test: recorded point"):
-        HPolyhedron(1, [], [((1,), 0)]).record_point((-1,), "test")
 
 
 def test_affine_dim_examples():
@@ -395,6 +388,16 @@ def test_rows_are_primitive_with_equalities_sign_normalized(a, b):
         c = w[q] / a[q]
         assert w == tuple(c * x for x in a) and rhs == c * b
         assert c > 0 or (flip and w[q] > 0)
+
+
+def test_canonical_form_reduces_modulo_the_hull():
+    # on the line x = y: 2x + 0y >= 1 and x + y >= 1 are one inequality,
+    # x - y >= -3 vanishes on the line, and the redundant x + y >= 0 stays
+    form = canonical_form(2, [((2, -2), 0)], [((2, 0), 1), ((1, 1), 1), ((1, -1), -3), ((1, 1), 0)])
+    assert form.eqs == (((1, -1), 0),)
+    assert form.ineqs == (((0, 1), 0), ((0, 1), Fraction(1, 2)))
+    p = HPolyhedron(2, [((2, -2), 0)], [((2, 0), 1), ((1, 1), 1), ((1, -1), -3), ((1, 1), 0)])
+    assert p.canonical() == replace(form, ineqs=(((0, 1), Fraction(1, 2)),))
 
 
 def test_canonical_identifies_equal_polyhedra():

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tropbetti.arrangement import enumerate_faces
@@ -20,7 +20,7 @@ from tropbetti.prevariety import (
 from tropbetti.realize import ComplexDescription, complex_prevariety, gen_grid_example
 from tropbetti.tropical import LinForm, TropPoly, TropSystem, is_system_zero
 
-from oracles import dual_patterns_by_faces, face_at, minkowski_sum, pattern_at
+from oracles import dual_patterns_by_faces, face_at, minkowski_sum, pattern_at, pattern_closure
 from strategies import small_systems
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -32,6 +32,24 @@ def poly(*mons):
 
 # monomials sort as 0 -> index 0, y -> index 1, x -> index 2
 LINE = TropSystem(2, [poly(((0, 0), 0), ((0, 1), 0), ((1, 0), 0))])
+
+
+def _side(eq, ineqs):
+    return HPolyhedron(2, [eq], ineqs)
+
+
+# the boundary of the unit square, acceptance criterion 6's circle
+SQUARE = complex_prevariety(
+    ComplexDescription.make(
+        2,
+        [
+            _side(((0, 1), 0), [((1, 0), 0), ((-1, 0), -1)]),
+            _side(((0, 1), 1), [((1, 0), 0), ((-1, 0), -1)]),
+            _side(((1, 0), 0), [((0, 1), 0), ((0, -1), -1)]),
+            _side(((1, 0), 1), [((0, 1), 0), ((0, -1), -1)]),
+        ],
+    )
+)
 
 
 def tie_pattern(s, face) -> TiePattern:
@@ -142,7 +160,7 @@ def test_dual_subdivision_two_polynomials():
     assert len(trop) == 1 and trop[0].dim == 2
     cell = dual_cell(s, trop[0])
     assert cell.dim == 0
-    assert cell.closure.contains((0, 0))
+    assert pattern_closure(s, cell.pattern).contains((0, 0))
 
 
 def test_dual_cell_examples():
@@ -151,11 +169,13 @@ def test_dual_cell_examples():
     triangle = by_pattern[((0, 0), (0, 1), (0, 2))]
     assert triangle.dim == 2
     g = dual_cell(LINE, triangle)
-    assert g.dim == 0 and g.closure.contains((0, 0))
+    assert g.dim == 0 and pattern_closure(LINE, g.pattern).contains((0, 0))
     edge = by_pattern[((0, 0), (0, 2))]  # monomials 0 and x tie
     cell = dual_cell(LINE, edge)
-    expected = HPolyhedron(2, [((1, 0), 0)], [((0, 1), 0)])  # ray {x=0, y>=0}
-    assert cell.closure.canonical() == expected.canonical()
+    expected = HPolyhedron(2, [((1, 0), 0)], [((0, 1), 0)]).canonical()  # ray {x=0, y>=0}
+    assert pattern_closure(LINE, cell.pattern).canonical() == expected
+    comp = cells_via_arrangement(LINE)
+    assert comp.hrep(comp.cells.index(cell)) == expected
     assert edge.dim + cell.dim == 2
 
 
@@ -185,7 +205,8 @@ def test_cross_method_equality_seeded():
         by_pattern = {c.pattern: c for c in comp.cells}
         for d in duals:
             assert by_pattern[d.pattern].dim == d.dim
-            assert by_pattern[d.pattern].closure.canonical() == d.closure.canonical()
+            i = comp.cells.index(d)
+            assert comp.hrep(i) == pattern_closure(s, d.pattern).canonical()
 
 
 # ------------------------------------------ dual route against the arrangement
@@ -261,21 +282,53 @@ def test_duplicate_polynomial_leaves_cells_unchanged():
     for _ in range(5):
         s = random_system(rng, max_k=2, max_m=3)
         doubled = TropSystem(s.n, list(s.polys) + [s.polys[0]])
-        a = {c.closure.canonical() for c in cells_via_arrangement(s).cells}
-        b = {c.closure.canonical() for c in cells_via_arrangement(doubled).cells}
-        assert a == b
+        a, b = cells_via_arrangement(s), cells_via_arrangement(doubled)
+        assert {a.hrep(i) for i in range(len(a.cells))} == {b.hrep(i) for i in range(len(b.cells))}
 
 
 def test_closure_lattice_intersection_property():
     comp = cells_via_arrangement(LINE)
-    closures = {c.pattern: c.closure for c in comp.cells}
-    canon = {c.closure.canonical() for c in comp.cells}
-    cells = list(comp.cells)
-    for i, a in enumerate(cells):
-        for b in cells[i + 1 :]:
-            meet = a.closure.intersect(b.closure)
+    canon = {comp.hrep(i) for i in range(len(comp.cells))}
+    closures = [pattern_closure(LINE, c.pattern) for c in comp.cells]
+    for i, a in enumerate(closures):
+        for b in closures[i + 1 :]:
+            meet = a.intersect(b)
             if not meet.is_empty():
                 assert meet.canonical() in canon
+
+
+# ------------------------------------------ H-representations from the poset
+
+
+# a Laurent polynomial: a point and three rays
+LAURENT = TropSystem(
+    2, [TropPoly([LinForm.make((-1, 0), 0), LinForm.make((0, 1), 1), LinForm.make((1, -1), -2)], laurent=True)]
+)
+# rational constants: a bounded edge with rational ends
+RATIONAL = TropSystem(
+    2, [poly(((0, 0), Fraction(1, 3)), ((1, 0), Fraction(-2, 5)), ((0, 1), Fraction(7, 2)), ((1, 1), Fraction(1, 2)))]
+)
+
+
+def assert_hreps_match_lp(s):
+    """Each cell's H-rep read from the face poset equals the LP canonical
+    form of its closure written with a row per monomial."""
+    comp = cells_via_arrangement(s)
+    for i, cell in enumerate(comp.cells):
+        assert comp.hrep(i) == pattern_closure(s, cell.pattern).canonical(), cell
+
+
+@given(small_systems())
+# a point cell, the origin of the tropical line, with three rays
+@example(LINE)
+# the tropical line times a line: every cell has lineality 1
+@example(TropSystem(3, [poly(((0, 0, 0), 0), ((0, 1, 0), 0), ((1, 0, 0), 0))]))
+@example(LAURENT)
+@example(RATIONAL)
+@example(SQUARE)
+@settings(deadline=None, max_examples=150)
+def test_hrep_matches_lp_canonical(s):
+    assert_hreps_match_lp(s)
 
 
 # ------------------------------------------------ patterns from sign vectors
@@ -303,20 +356,7 @@ def test_sign_patterns_random(s):
 def test_square_covering_faces_and_patterns():
     """Acceptance criterion 6's square: 140 hyperplanes, 81 polynomials."""
 
-    def seg(eq, ineqs):
-        return HPolyhedron(2, [eq], ineqs)
-
-    s = complex_prevariety(
-        ComplexDescription.make(
-            2,
-            [
-                seg(((0, 1), 0), [((1, 0), 0), ((-1, 0), -1)]),
-                seg(((0, 1), 1), [((1, 0), 0), ((-1, 0), -1)]),
-                seg(((1, 0), 0), [((0, 1), 0), ((0, -1), -1)]),
-                seg(((1, 0), 1), [((0, 1), 0), ((0, -1), -1)]),
-            ],
-        )
-    )
+    s = SQUARE
     arr = s.arrangement
     full = enumerate_faces(arr)
     keys = [(f.signs, f.dim, f.witness) for f in full if arr.covers(f.zero_set)]

@@ -17,7 +17,7 @@ from tropbetti.topology import (
 )
 from tropbetti.tropical import LinForm, TropPoly, TropSystem
 
-from oracles import simplicial_betti, sliced_closures
+from oracles import pattern_closure, simplicial_betti, sliced_closures
 from strategies import small_systems
 
 
@@ -174,12 +174,13 @@ def _assert_poset_matches_polyhedra(comp):
     """Lineality and retract from the face poset agree with the closures."""
     index = {cell.pattern: i for i, cell in enumerate(comp.cells)}
     for component in connected_components(comp):
-        d, sliced = sliced_closures(component)
+        d, sliced = sliced_closures(comp.system, component)
         for cell, cut in zip(component, sliced):
             i = index[cell.pattern]
-            assert comp.lineality[i] == d == len(cell.closure.lineality_basis())
+            closure = pattern_closure(comp.system, cell.pattern)
+            assert comp.lineality[i] == d == len(closure.lineality_basis())
             assert comp.retract[i] == cut.is_bounded()
-            assert cell.closure.is_bounded() == (d == 0 and comp.retract[i])
+            assert closure.is_bounded() == (d == 0 and comp.retract[i])
 
 
 @given(small_systems())
