@@ -42,9 +42,11 @@ def _check(out: Path, args) -> int:
     if code != 0:
         return code
 
+    # exactly the files `gen corpus` just wrote, not older ones in the directory
+    paths = [out / f"system_{i:03d}.json" for i in range(args.count)]
     failures = 0
     start = time.monotonic()
-    for path in sorted(out.glob("*.json")):
+    for path in paths:
         t0 = time.monotonic()
         report = check_system(parse_system(path.read_bytes()), oracle=args.oracle)
         dt = time.monotonic() - t0
@@ -58,7 +60,7 @@ def _check(out: Path, args) -> int:
             print(json.dumps(report, sort_keys=True, indent=2), file=sys.stderr)
     total = time.monotonic() - start
     kept = f" (corpus in {out})" if args.dir else ""
-    print(f"checked {args.count} systems from seed {args.seed} in {total:.1f}s, {failures} failures{kept}")
+    print(f"checked {len(paths)} systems from seed {args.seed} in {total:.1f}s, {failures} failures{kept}")
     return 0 if failures == 0 else 2
 
 

@@ -10,8 +10,9 @@ is the triangulation's own total times the Gram factor of that projection.
 The lifted Newton sum conv(Q_1 + ... + Q_k) + cone(e) is placed once: its
 bounded faces are the dual route's lower faces, and the placing's total over
 the cones through e gives the volume of the dense bound's Newton sum.
-Volumes are represented as q*sqrt(s) with q rational and s a squarefree
-integer, so that every comparison in the bound checks stays exact.
+Volumes are represented as q*sqrt(s) with q rational and s a positive
+integer, so that every comparison in the bound checks stays exact; s is
+squarefree except for square factors of primes above trial division's bound.
 """
 
 from __future__ import annotations
@@ -42,13 +43,21 @@ class InvariantError(RuntimeError):
         super().__init__(f"{stage}: {invariant}")
 
 
+_TRIAL_BOUND = 10**5
+
+
 def sqfree_decompose(g: int) -> tuple[int, int]:
-    """g = sq**2 * s with s squarefree; returns (sq, s)."""
+    """g = sq**2 * s; returns (sq, s).
+
+    Trial division stops at ``_TRIAL_BOUND``, so a large prime radicand costs
+    no more than a small one; a cofactor left above the bound joins sq if it
+    is a perfect square and s otherwise.
+    """
     if g <= 0:
         raise ValueError("positive integer required")
     sq, s = 1, 1
     d = 2
-    while d * d <= g:
+    while d * d <= g and d <= _TRIAL_BOUND:
         e = 0
         while g % d == 0:
             g //= d
@@ -57,13 +66,19 @@ def sqfree_decompose(g: int) -> tuple[int, int]:
         if e % 2:
             s *= d
         d += 1
-    s *= g
-    return sq, s
+    root = math.isqrt(g)
+    if root * root == g:
+        return sq * root, s
+    return sq, s * g
 
 
 @dataclass(frozen=True)
 class RadVal:
-    """Exact nonnegative value q*sqrt(s), s squarefree."""
+    """Exact nonnegative value q*sqrt(s), s a positive integer.
+
+    ``from_sqrt`` leaves s squarefree up to trial division's bound, so two
+    equal values may differ in (q, s); equality and hashing go by ``sq()``.
+    """
 
     q: Fraction
     s: int = 1
@@ -117,11 +132,11 @@ class RadVal:
 
     def __eq__(self, other):
         if isinstance(other, RadVal):
-            return (self.q, self.s) == (other.q, other.s)
+            return self.sq() == other.sq()
         return self.sq() == Fraction(other) ** 2 and Fraction(other) >= 0
 
     def __hash__(self):
-        return hash((self.q, self.s))
+        return hash(self.sq())
 
     def approx(self) -> float:
         return float(self.q) * self.s ** 0.5

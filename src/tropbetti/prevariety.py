@@ -57,12 +57,6 @@ class TiePattern:
             counts[i] += 1
         return all(c >= 2 for c in counts)
 
-    def __le__(self, other: "TiePattern") -> bool:
-        return set(self.pairs) <= set(other.pairs)
-
-    def __lt__(self, other: "TiePattern") -> bool:
-        return set(self.pairs) < set(other.pairs)
-
 
 def _pattern_reader(s: TropSystem, arr: Arrangement):
     """Function from a face's sign vector to its argmin pattern.
@@ -132,27 +126,23 @@ class PrevarietyComplex:
     """Cells of a prevariety with their closure (face) relation.
 
     The faces of the closure of U_B are the cells whose pattern contains B
-    (``faces[i]``, cell i first), and they share its lineality space, of
-    dimension d: ``lineality[i]`` is the least cell dimension in the
-    component, and ``retract[i]`` says if the closure is bounded modulo that
-    space, that is, if each of its faces of dimension d + 1 (an edge) has two
-    faces of dimension d (its vertices).
+    (``faces[i]``, cell i first).  This is the complex's one relation: the
+    components, lineality, retract and H-representations here, and the
+    triangulation in ``topology``, are all read from it.  A closure's faces
+    share its lineality space, of dimension d: ``lineality[i]`` is the least
+    cell dimension in the component, and ``retract[i]`` says if the closure
+    is bounded modulo that space, that is, if each of its faces of dimension
+    d + 1 (an edge) has two faces of dimension d (its vertices).
     """
 
     def __init__(self, system: TropSystem, cells):
         self.system = system
         self.cells = tuple(sorted(cells, key=lambda c: c.pattern.pairs))
-        # incidence: (a, b) whenever cell b lies in the closure of cell a
-        self.incidence = tuple(
-            (ia, ib)
-            for ia, ca in enumerate(self.cells)
-            for ib, cb in enumerate(self.cells)
-            if ca.pattern < cb.pattern
+        patterns = [set(c.pattern.pairs) for c in self.cells]
+        self.faces = tuple(
+            [a] + [b for b, pb in enumerate(patterns) if pa < pb] for a, pa in enumerate(patterns)
         )
         self.component_labels = self._label_components()
-        self.faces = tuple([i] for i in range(len(self.cells)))
-        for a, b in self.incidence:
-            self.faces[a].append(b)
         low: dict[int, int] = {}
         for cell, label in zip(self.cells, self.component_labels):
             low[label] = min(low.get(label, cell.dim), cell.dim)
@@ -208,10 +198,11 @@ class PrevarietyComplex:
                 a = parent[a]
             return a
 
-        for a, b in self.incidence:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
+        for a, faces in enumerate(self.faces):
+            for b in faces[1:]:
+                ra, rb = find(a), find(b)
+                if ra != rb:
+                    parent[ra] = rb
         roots: dict[int, int] = {}
         labels = []
         for i in range(len(self.cells)):

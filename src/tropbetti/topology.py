@@ -3,14 +3,13 @@
 A connected component is L x (its slice by L-perp), L the lineality space
 of its cells, and the slice retracts onto the cells bounded modulo L, which
 ``PrevarietyComplex.retract`` reads from the face poset; no polyhedron is
-built here.  Each component's retract is triangulated as the order complex
-of its face poset, read from the complex's face relation, and homology
+built here.  The retract of all components together is triangulated once,
+as the order complex of the complex's face relation ``faces``, and homology
 ranks come from exact rational ranks.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from . import linalg
@@ -34,14 +33,6 @@ class BettiVector:
     def total(self) -> int:
         return sum(self.b)
 
-    def __add__(self, other: "BettiVector") -> "BettiVector":
-        out = [0] * max(len(self.b), len(other.b))
-        for i, v in enumerate(self.b):
-            out[i] += v
-        for i, v in enumerate(other.b):
-            out[i] += v
-        return BettiVector.make(out)
-
     def __getitem__(self, i: int) -> int:
         return self.b[i] if i < len(self.b) else 0
 
@@ -52,16 +43,6 @@ class SimplicialComplex:
 
     vertices: tuple[int, ...]
     simplices: frozenset[frozenset[int]]
-
-    @classmethod
-    def from_maximal(cls, maximal) -> "SimplicialComplex":
-        simplices: set[frozenset[int]] = set()
-        for s in maximal:
-            s = frozenset(s)
-            for r in range(1, len(s) + 1):
-                simplices.update(frozenset(c) for c in itertools.combinations(s, r))
-        vertices = tuple(sorted({v for s in simplices for v in s}))
-        return cls(vertices, frozenset(simplices))
 
     def by_dim(self) -> dict[int, list[tuple[int, ...]]]:
         out: dict[int, list[tuple[int, ...]]] = {}
@@ -76,26 +57,23 @@ def triangulate(c: PrevarietyComplex, members) -> SimplicialComplex:
     """Order complex of the face poset on the cells ``members`` (indices
     into ``c.cells``): the barycentric subdivision.
 
-    The members are bounded modulo lineality (``PrevarietyComplex.retract``),
-    and their faces among each other come from ``c.faces``.  A maximal chain
-    runs from a member that is no other member's face down covering
-    relations to a member without faces; its vertices are cell indices.
+    Its simplices are the chains of cells under the face relation
+    ``c.faces``.  Strict pattern containment is transitive, so each chain is
+    listed exactly once by descending from its largest cell through the
+    faces among the members.
     """
     inside = set(members)
-    below = {a: {b for b in c.faces[a] if b != a and b in inside} for a in inside}
-    covers = {a: [b for b in bs if not any(b in below[x] for x in bs)] for a, bs in below.items()}
-    maximal: list[tuple[int, ...]] = []
+    chains: list[frozenset[int]] = []
 
     def descend(chain: tuple[int, ...]):
-        if not covers[chain[-1]]:
-            maximal.append(chain)
-        for b in covers[chain[-1]]:
-            descend(chain + (b,))
+        chains.append(frozenset(chain))
+        for b in c.faces[chain[-1]][1:]:
+            if b in inside:
+                descend(chain + (b,))
 
-    faces_of_others = set().union(*below.values())
-    for a in inside - faces_of_others:
+    for a in inside:
         descend((a,))
-    return SimplicialComplex.from_maximal(maximal)
+    return SimplicialComplex(tuple(sorted(inside)), frozenset(chains))
 
 
 def betti(sc: SimplicialComplex) -> BettiVector:
@@ -123,11 +101,6 @@ def betti(sc: SimplicialComplex) -> BettiVector:
 
 
 def betti_of_complex(c: PrevarietyComplex) -> BettiVector:
-    retract_by_component: dict[int, list[int]] = {}
-    for i, (label, retract) in enumerate(zip(c.component_labels, c.retract)):
-        if retract:
-            retract_by_component.setdefault(label, []).append(i)
-    total = BettiVector.make([])
-    for members in retract_by_component.values():
-        total = total + betti(triangulate(c, members))
-    return total
+    """Betti numbers of the whole retract.  Components share no chain, so
+    one order complex over all of them gives the summed boundary ranks."""
+    return betti(triangulate(c, [i for i, keep in enumerate(c.retract) if keep]))

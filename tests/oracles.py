@@ -40,6 +40,10 @@ Each oracle deliberately avoids the code path it is used to check:
   complement of the component's lineality space, found as a nullspace of
   all closure normals; ``PrevarietyComplex.lineality`` and ``retract``
   read the same answers from the face poset and build no polyhedron.
+- ``from_maximal`` builds a simplicial complex from its maximal simplices
+  by expanding each into all its nonempty subsets, for the textbook
+  ``betti`` examples; ``topology.triangulate`` lists each chain of the face
+  poset once and never expands a subset.
 - ``sign_vector`` evaluates every rational hyperplane at a point
   (``hyperplane_value``), and ``face_at`` picks the enumerated face with
   that sign vector; the enumeration under test reads integer rows scaled
@@ -59,6 +63,7 @@ from tropbetti.cli import sign_vectors_bruteforce  # the one copy; re-exported h
 from tropbetti.exactgeom import DimensionMismatch, HPolyhedron, VPolytope
 from tropbetti.linprog import LPStatus, solve_lp
 from tropbetti.prevariety import DualFace, TiePattern, _pattern_reader
+from tropbetti.topology import SimplicialComplex
 from tropbetti.tropical import TropPoly, eval_poly, is_zero
 
 
@@ -88,6 +93,17 @@ def simplicial_betti(sc) -> tuple[int, ...]:
     while b and b[-1] == 0:
         b.pop()
     return tuple(b)
+
+
+def from_maximal(maximal) -> SimplicialComplex:
+    """The complex whose simplices are the nonempty subsets of the given ones."""
+    simplices: set[frozenset[int]] = set()
+    for s in maximal:
+        s = frozenset(s)
+        for r in range(1, len(s) + 1):
+            simplices.update(frozenset(c) for c in itertools.combinations(s, r))
+    vertices = tuple(sorted({v for s in simplices for v in s}))
+    return SimplicialComplex(vertices, frozenset(simplices))
 
 
 def convex_hull_2d(points) -> list[tuple[Fraction, Fraction]]:

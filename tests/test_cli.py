@@ -160,6 +160,26 @@ def test_bounds_and_check_commands(capsys, monkeypatch):
     assert rep["cross_method_ok"] and rep["duality_ok"] and rep["oracle_ok"]
 
 
+def test_bounds_on_a_laurent_system_has_no_degree_bound(capsys, monkeypatch):
+    doc = '{"n":1,"laurent":true,"polys":[[[[-1],"0"],[[1],"0"]]]}'
+    code, out, _ = run(capsys, ["bounds", "-"], doc, monkeypatch)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["d"] is None and rep["degree_bound"] is None
+    assert rep["betti_le_degree"] is None and rep["all_ok"] is True
+
+
+def test_bounds_on_a_binomial_with_a_large_prime_gram_radicand(capsys, monkeypatch):
+    """The segment's squared length 10^20 + 361 is prime: its volume stays
+    exact, and trial division does not run up to its square root."""
+    doc = '{"n":2,"polys":[[[[10000000000,19],"0"],[[0,0],"0"]]]}'
+    code, out, _ = run(capsys, ["bounds", "-"], doc, monkeypatch)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["r"] == 1 and rep["vol_r_sq"] == [100000000000000000361, 1]
+    assert rep["dense_bound_sq"] == [9 * 100000000000000000361, 1]
+
+
 def test_dual_and_components_commands(capsys, monkeypatch):
     code, out, _ = run(capsys, ["dual", "-"], LINE_DOC, monkeypatch)
     assert code == 0

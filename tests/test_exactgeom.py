@@ -45,6 +45,20 @@ def test_sqfree_decompose():
         sqfree_decompose(0)
 
 
+def test_sqfree_decompose_stops_trial_division_at_its_bound():
+    p = 1000003  # prime, above the trial-division bound
+    assert sqfree_decompose(p) == (1, p)
+    assert sqfree_decompose(12 * p * p) == (2 * p, 3)
+    assert sqfree_decompose(p**3) == (1, p**3)  # not squarefree past the bound
+    assert RadVal.from_sqrt(1, p**3) == RadVal.from_sqrt(p, p)
+
+
+def test_radval_equality_and_hash_go_by_the_square():
+    assert RadVal(Fraction(1), 8) == RadVal(Fraction(2), 2)
+    assert hash(RadVal(Fraction(1), 8)) == hash(RadVal(Fraction(2), 2))
+    assert RadVal(Fraction(1), 8) != RadVal(Fraction(1), 2)
+
+
 def test_radval_basics():
     v = RadVal.from_sqrt(1, 8)
     assert (v.q, v.s) == (2, 2)

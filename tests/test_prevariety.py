@@ -62,7 +62,7 @@ def cell_closure(s, b: TiePattern) -> set[TiePattern]:
     realized = {tie_pattern(s, face) for face in s.arrangement.faces()}
     if b not in realized:
         raise EmptyPolyhedronError("U_B is empty: pattern not realized")
-    return {b1 for b1 in realized if b < b1}
+    return {b1 for b1 in realized if set(b.pairs) < set(b1.pairs)}
 
 
 def test_tie_pattern_examples():

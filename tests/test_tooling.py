@@ -25,6 +25,17 @@ def test_run_corpus_check_removes_its_temporary_corpus(tmp_path, monkeypatch, ca
     assert closing.startswith("checked 2 systems") and str(tmp_path) not in closing
 
 
+def test_run_corpus_check_checks_only_the_corpus_it_wrote(tmp_path, capsys):
+    """A file left in --dir by an earlier, larger corpus is not checked."""
+    script = _load(ROOT / "scripts" / "run_corpus_check.py")
+    (tmp_path / "system_002.json").write_text('{"n":1,"polys":[[[[1],"0"],[[0],"0"]]]}')
+    assert script.run(["--count", "2", "--dir", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    checked = [line.split(":")[0] for line in lines if line.startswith("system_")]
+    assert checked == ["system_000.json", "system_001.json"]
+    assert lines[-1].startswith("checked 2 systems")
+
+
 def test_benchmark_harness_names_exist():
     """Every name the tracer wraps and the worker imports is in the package.
 

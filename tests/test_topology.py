@@ -10,14 +10,13 @@ from tropbetti.prevariety import PrevarietyComplex, cells_via_arrangement, conne
 from tropbetti.realize import ComplexDescription, complex_prevariety, gen_grid_example
 from tropbetti.topology import (
     BettiVector,
-    SimplicialComplex,
     betti,
     betti_of_complex,
     triangulate,
 )
 from tropbetti.tropical import LinForm, TropPoly, TropSystem
 
-from oracles import pattern_closure, simplicial_betti, sliced_closures
+from oracles import from_maximal, pattern_closure, simplicial_betti, sliced_closures
 from strategies import small_systems
 
 
@@ -44,30 +43,37 @@ SQUARE = ComplexDescription.make(
 )
 
 
+def _betti_sum(vectors) -> BettiVector:
+    """Entrywise sum of Betti vectors, trailing zeros trimmed."""
+    vectors = list(vectors)
+    top = max((len(v.b) for v in vectors), default=0)
+    return BettiVector.make([sum(v[i] for v in vectors) for i in range(top)])
+
+
 def test_betti_vector_basics():
     v = BettiVector.make([1, 0, 2, 0, 0])
     assert v.b == (1, 0, 2)
     assert v.total == 3
     assert v[1] == 0 and v[7] == 0
-    assert (v + BettiVector.make([0, 5])).b == (1, 5, 2)
+    assert _betti_sum([v, BettiVector.make([0, 5])]).b == (1, 5, 2)
     assert BettiVector.make([]).b == ()
 
 
 def test_from_maximal_downward_closed():
-    sc = SimplicialComplex.from_maximal([(0, 1, 2)])
+    sc = from_maximal([(0, 1, 2)])
     assert len(sc.simplices) == 7
     assert frozenset({0, 1}) in sc.simplices
     assert sc.vertices == (0, 1, 2)
 
 
 def test_betti_textbook_examples():
-    assert betti(SimplicialComplex.from_maximal([(0,)])).b == (1,)
-    assert betti(SimplicialComplex.from_maximal([(0,), (1,)])).b == (2,)
-    hollow = SimplicialComplex.from_maximal([(0, 1), (1, 2), (0, 2)])
+    assert betti(from_maximal([(0,)])).b == (1,)
+    assert betti(from_maximal([(0,), (1,)])).b == (2,)
+    hollow = from_maximal([(0, 1), (1, 2), (0, 2)])
     assert betti(hollow).b == (1, 1)
-    filled = SimplicialComplex.from_maximal([(0, 1, 2)])
+    filled = from_maximal([(0, 1, 2)])
     assert betti(filled).b == (1,)
-    sphere = SimplicialComplex.from_maximal(
+    sphere = from_maximal(
         [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
     )
     assert betti(sphere).b == (1, 0, 1)
@@ -82,7 +88,7 @@ def test_betti_textbook_examples():
 )
 @settings(deadline=None, max_examples=60)
 def test_betti_matches_independent_rank_oracle(maximal):
-    sc = SimplicialComplex.from_maximal(maximal)
+    sc = from_maximal(maximal)
     assert betti(sc).b == simplicial_betti(sc)
 
 
@@ -131,22 +137,24 @@ def test_triangulate_single_point_and_grid():
     sc = triangulate(line, _retract_members(line))
     assert betti(sc).b == (1,)
     comp = cells_via_arrangement(gen_grid_example(2, 2))
-    total = BettiVector.make([])
-    for component in connected_components(comp):
-        total = total + betti(triangulate(comp, _retract_members(comp, component)))
+    total = _betti_sum(
+        betti(triangulate(comp, _retract_members(comp, component)))
+        for component in connected_components(comp)
+    )
     assert total.b == (4,)
 
 
 def _chains_by_patterns(comp, members):
     """Every nonempty chain of the members under proper pattern inclusion."""
     chains = set()
+    pattern = {v: set(comp.cells[v].pattern.pairs) for v in members}
 
     def extend(chain, rest):
         if chain:
             chains.add(frozenset(chain))
         for v in rest:
-            pv = comp.cells[v].pattern
-            if all(pv < comp.cells[u].pattern or comp.cells[u].pattern < pv for u in chain):
+            pv = pattern[v]
+            if all(pv < pattern[u] or pattern[u] < pv for u in chain):
                 extend(chain + [v], [w for w in rest if w > v])
 
     extend([], list(members))
@@ -154,9 +162,17 @@ def _chains_by_patterns(comp, members):
 
 
 def _assert_triangulation_matches_patterns(comp):
+    """Per component and across all components: the chains of pattern
+    inclusion, and Betti numbers that add up over the components."""
+    per_component = []
     for component in connected_components(comp):
         members = _retract_members(comp, component)
-        assert triangulate(comp, members).simplices == _chains_by_patterns(comp, members)
+        sc = triangulate(comp, members)
+        assert sc.simplices == _chains_by_patterns(comp, members)
+        per_component.append(betti(sc))
+    members = _retract_members(comp)
+    assert triangulate(comp, members).simplices == _chains_by_patterns(comp, members)
+    assert betti_of_complex(comp) == _betti_sum(per_component)
 
 
 @given(small_systems())
@@ -166,8 +182,12 @@ def test_triangulate_reads_the_chains_of_pattern_inclusion(s):
 
 
 def test_triangulate_square_and_grid_chains():
-    for s in (complex_prevariety(SQUARE), gen_grid_example(2, 2)):
-        _assert_triangulation_matches_patterns(cells_via_arrangement(s))
+    square = cells_via_arrangement(complex_prevariety(SQUARE))
+    grid = cells_via_arrangement(gen_grid_example(2, 2))
+    assert len(connected_components(square)) == 1
+    assert len(connected_components(grid)) == 4
+    for comp in (square, grid):
+        _assert_triangulation_matches_patterns(comp)
 
 
 def _assert_poset_matches_polyhedra(comp):
