@@ -17,12 +17,12 @@ rational +-eps lands witnesses in the two adjacent regions.
 A face's zero set is the set of definers of its flat.  A flat is
 *covering* when its definers have source ties in every polynomial; only
 faces on covering flats can carry prevariety cells.  A subflat only gains
-definers, so covering flats are closed under descent, and the stepping
-above run over the covering flats alone finds exactly the covering faces
-(the facets it steps off lie on covering subflats).  ``faces()`` walks
-every flat, as the sign-vector oracle needs; ``covering_faces()`` walks
-only the covering ones, as the cells need, or filters ``faces()`` when
-that list is already there.
+definers, so covering flats are closed under descent.  ``faces()`` walks
+every flat, as the sign-vector oracle needs; ``faces(keep)`` walks only
+the covering ones, as the cells need, and steps off only the faces whose
+sign vectors ``keep`` accepts.  If those are closed under taking faces,
+the facet that first reaches a kept face in the full walk is kept too, so
+each kept face gets the full walk's witness.
 
 Everything below the public hyperplanes runs in ``int`` arithmetic.  The
 walk reads hyperplane i as the integer row (N_i, O_i) = c_i (normal,
@@ -129,20 +129,16 @@ class Arrangement:
             covered |= self._hp_polys[i]
         return len(covered) == self.k
 
-    def faces(self) -> tuple[ArrFace, ...]:
-        if "faces" not in self._cache:
-            self._cache["faces"] = enumerate_faces(self)
-        return self._cache["faces"]
-
-    def covering_faces(self) -> tuple[ArrFace, ...]:
-        """The faces whose zero sets cover every polynomial, by sign vector."""
-        if "covering_faces" not in self._cache:
-            if "faces" in self._cache:
-                faces = tuple(f for f in self._cache["faces"] if self.covers(f.zero_set))
-            else:
-                faces = enumerate_faces(self, covering=True)
-            self._cache["covering_faces"] = faces
-        return self._cache["covering_faces"]
+    def faces(self, keep=None) -> tuple[ArrFace, ...]:
+        """Every face, cached; with ``keep``, the covering faces it accepts
+        (``enumerate_faces``), filtered from the cache when that is filled."""
+        if keep is None:
+            if "faces" not in self._cache:
+                self._cache["faces"] = enumerate_faces(self)
+            return self._cache["faces"]
+        if "faces" in self._cache:
+            return tuple(f for f in self._cache["faces"] if self.covers(f.zero_set) and keep(f.signs))
+        return enumerate_faces(self, keep)
 
 
 def build_arrangement(system: TropSystem) -> Arrangement:
@@ -221,13 +217,13 @@ def _make_flat(n, rows, pivots, hrows):
     return _Flat(rows, pivots, dirs, base, denom, base_values, denom, definers)
 
 
-def _points_on_line(fl, hrows, flats, keep):
+def _points_on_line(fl, hrows, flats, covers):
     """Zero-dimensional flats on a line, grouped by crossing parameter.
 
     All hyperplanes through base + t*u either contain the line (so are
     among its definers) or cross it at parameter t, which makes the
     definers and hyperplane values of every point on the line cheap.
-    Points whose definers fail ``keep`` are dropped before their values
+    Points whose definers fail ``covers`` are dropped before their values
     are computed: a point has no subflats, so nothing below needs it.
     """
     u = fl.dirs[0]
@@ -244,7 +240,7 @@ def _points_on_line(fl, hrows, flats, keep):
     out = []
     for (num, den), idxs in crossings.items():
         definers = fl.definers | frozenset(idxs)
-        if keep is not None and not keep(definers):
+        if covers is not None and not covers(definers):
             continue
         base, denom = _shifted(fl.base, fl.denom, num, den, u)
         key = ("pt", denom) + base
@@ -257,7 +253,7 @@ def _points_on_line(fl, hrows, flats, keep):
     return out
 
 
-def _intersection_lattice(n, hrows, keep=None):
+def _intersection_lattice(n, hrows, covers=None):
     start = _make_flat(n, (), (), hrows)
     flats = {start.rows: start}  # flats by rows, points by ("pt", denom, *base)
     frontier = [start]
@@ -267,7 +263,7 @@ def _intersection_lattice(n, hrows, keep=None):
             if fl.dim == 0:
                 continue
             if fl.dim == 1:
-                new.extend(_points_on_line(fl, hrows, flats, keep))
+                new.extend(_points_on_line(fl, hrows, flats, covers))
                 continue
             for i, row in enumerate(hrows):
                 if i in fl.definers:
@@ -312,31 +308,34 @@ class _FaceRec:
         self.flat = flat
 
 
-def enumerate_faces(arrangement: Arrangement, covering: bool = False) -> tuple[ArrFace, ...]:
+def enumerate_faces(arrangement: Arrangement, keep=None) -> tuple[ArrFace, ...]:
     """All faces of the arrangement, sorted by sign vector.
 
     The faces partition the ambient space: every point's sign vector is
-    the sign vector of exactly one face.  With ``covering``, only the
-    flats that cover every polynomial are walked, which yields exactly
-    the faces among those whose zero sets cover every polynomial.
+    the sign vector of exactly one face.  With ``keep``, a predicate on
+    sign vectors, only the covering flats are walked and only the faces
+    ``keep`` accepts are returned and stepped off; if they lie on covering
+    flats and are closed under taking faces, that is the full list
+    filtered by ``keep``, witnesses included.
     """
     n, hrows = arrangement.n, arrangement._rows
-    keep = arrangement.covers if covering else None
+    covers = arrangement.covers if keep is not None else None
     by_dim: dict[int, list[_Flat]] = {}
-    for fl in _intersection_lattice(n, hrows, keep).values():
-        if keep is None or keep(fl.definers):
+    for fl in _intersection_lattice(n, hrows, covers).values():
+        if covers is None or covers(fl.definers):
             by_dim.setdefault(fl.dim, []).append(fl)
 
-    # sign vector -> (dim, witness numerators, witness denominator)
-    found: dict[tuple[int, ...], tuple[int, tuple[int, ...], int]] = {}
+    # sign vector -> (dim, witness numerators, witness denominator), or None if rejected
+    found: dict[tuple[int, ...], tuple[int, tuple[int, ...], int] | None] = {}
     recs_by_dim: dict[int, list[_FaceRec]] = {}
 
     def add_flat_face(fl):
         signs = tuple(_sign(v) for v in fl.base_values)
         if signs in found:
             return
-        found[signs] = (fl.dim, fl.base, fl.denom)
-        if fl.dim < n:  # top-dimensional faces seed nothing further
+        kept = keep is None or keep(signs)
+        found[signs] = (fl.dim, fl.base, fl.denom) if kept else None
+        if kept and fl.dim < n:  # top-dimensional faces seed nothing further
             zero_set = frozenset(i for i, s in enumerate(signs) if s == 0)
             rec = _FaceRec(signs, zero_set, fl.base, fl.denom, fl.base_values, fl.values_denom, fl)
             recs_by_dim.setdefault(fl.dim, []).append(rec)
@@ -376,6 +375,9 @@ def enumerate_faces(arrangement: Arrangement, covering: bool = False) -> tuple[A
                     signs = tuple(sg if sg else s * st for sg, st in zip(rec.signs, tu_signs))
                     if signs in found:
                         continue
+                    if keep is not None and not keep(signs):
+                        found[signs] = None
+                        continue
                     if eps is None:
                         # half the distance, along u, to the nearest crossing
                         # hyperplane: min |v| / (2 |t|) over v != 0 != t
@@ -395,8 +397,9 @@ def enumerate_faces(arrangement: Arrangement, covering: bool = False) -> tuple[A
                         )
 
     faces = [
-        ArrFace(signs, dim, tuple(Fraction(x, denom) for x in witness))
-        for signs, (dim, witness, denom) in found.items()
+        ArrFace(signs, rec[0], tuple(Fraction(x, rec[2]) for x in rec[1]))
+        for signs, rec in found.items()
+        if rec is not None
     ]
     faces.sort(key=lambda f: f.signs)
     return tuple(faces)

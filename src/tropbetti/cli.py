@@ -222,9 +222,9 @@ def sign_vectors_bruteforce(arr) -> dict[tuple[int, ...], tuple[Fraction, ...]]:
 
 def check_system(s: TropSystem, oracle: bool = False) -> dict:
     # The two routes share no computation: the dual cells come from the
-    # lower hull of the lifted Newton sum, the cells from the covering
-    # faces of the tie arrangement.  The oracle needs every face; walked
-    # first, that list is filtered for the cells instead of a second walk.
+    # lower hull of the lifted Newton sum, the cells from the zero faces
+    # of the tie arrangement.  The oracle needs every face; walked first,
+    # that list is filtered for the cells instead of a second walk.
     arr = s.arrangement
     run_oracle = oracle and arr.ell <= 6
     if run_oracle:
@@ -316,6 +316,8 @@ def _cmd_bounds(args) -> tuple[dict, int]:
 
 def _cmd_check(args) -> tuple[dict, int]:
     if args.corpus:
+        if not Path(args.corpus).is_dir():
+            raise InputError(f"--corpus {args.corpus} is not a directory")
         reports = {}
         for path in sorted(Path(args.corpus).glob("*.json")):
             reports[path.name] = check_system(parse_system(path.read_bytes()), args.oracle)
@@ -373,6 +375,8 @@ def _cmd_gen(args) -> tuple[object, int]:
         except ValueError as e:
             raise InputError(str(e)) from None
         return serialize_system(s), 0
+    if args.count < 0:
+        raise InputError("need count >= 0")
     docs = [serialize_system(s) for s in system_corpus(args.seed, args.count)]
     if args.dir:
         out = Path(args.dir)

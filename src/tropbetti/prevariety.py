@@ -5,12 +5,12 @@ constant argmin pattern; the faces whose pattern has at least two entries
 per polynomial cover the prevariety, and faces sharing a pattern B are
 merged into the single convex, relatively open cell U_B.  Such a face has
 a tie in every polynomial, so it lies on a covering flat, and the route
-enumerates only those faces (``Arrangement.covering_faces``).
+walks those flats keeping only these faces (``Arrangement.faces(keep)``).
 
-Patterns are read from sign vectors, not by evaluating monomials: for
-monomials j1 < j2 of one polynomial, sign(m_j1 - m_j2) is the sign of the
-pair's tie hyperplane times a fixed orientation, and a pair with equal
-exponents compares its constants.
+Patterns are read from sign vectors, not by evaluating monomials: the
+monomials are sorted by (a, b), so for j1 < j2 of one polynomial,
+sign(m_j2 - m_j1) is the sign of the pair's tie hyperplane, and it is
+positive for a pair with equal exponents.
 
 Route 2 (dual subdivision): the lower faces of Q_1 + ... + Q_k, the sum of
 the lifted point sets {(a_j, b_j)}, with their decomposition
@@ -61,38 +61,27 @@ class TiePattern:
 def _pattern_reader(s: TropSystem, arr: Arrangement):
     """Function from a face's sign vector to its argmin pattern.
 
-    A tie hyperplane of monomials j1 < j2 has the primitive normal of
-    a_j1 - a_j2 with first nonzero entry positive, so m_j1 - m_j2 is a
-    positive or negative multiple of the hyperplane's value: its sign is
-    the orientation (the sign of the first nonzero entry of a_j1 - a_j2)
-    times the face's sign on that hyperplane.  A pair with a_j1 = a_j2
-    has distinct constants and a constant sign.
+    ``TropPoly`` sorts its monomials by (a, b): for j1 < j2 either a_j1 = a_j2
+    and b_j1 < b_j2, or a_j2 - a_j1 has first nonzero entry positive, as
+    their tie hyperplane's normal has, so m_j2 - m_j1 is a positive multiple
+    of the hyperplane's value and has the face's sign on it.
     """
-    where = {src: h for h, hp in enumerate(arr.hyperplanes) for src in hp.sources}
-    tables = []
-    for i, f in enumerate(s.polys):
-        # cmp[j1][j2] = (h, o): sign(m_j1 - m_j2) = o * signs[h], or o when h < 0
-        cmp = [[None] * f.m for _ in range(f.m)]
-        for j1 in range(f.m):
-            for j2 in range(j1 + 1, f.m):
-                m1, m2 = f.monomials[j1], f.monomials[j2]
-                h = where.get((i, j1, j2))
-                if h is None:
-                    cmp[j1][j2] = (-1, 1 if m1.b > m2.b else -1)
-                else:
-                    lead = next(x for x in linalg.vsub(m1.a, m2.a) if x)
-                    cmp[j1][j2] = (h, 1 if lead > 0 else -1)
-        tables.append(cmp)
+    # tables[i][j1][j2]: the tie hyperplane of monomials j1 < j2 of
+    # polynomial i, or -1 when a_j1 = a_j2, where m_j2 > m_j1 everywhere
+    tables = [[[-1] * f.m for _ in range(f.m)] for f in s.polys]
+    for h, hp in enumerate(arr.hyperplanes):
+        for i, j1, j2 in hp.sources:
+            tables[i][j1][j2] = h
 
     def read(signs, zero_only: bool = False) -> TiePattern | None:
         """The pattern; with ``zero_only``, None unless it is a zero pattern."""
         pairs = []
-        for i, cmp in enumerate(tables):
+        for i, hs in enumerate(tables):
             best = [0]
-            for j in range(1, len(cmp)):
-                h, o = cmp[best[0]][j]
-                sg = o * signs[h] if h >= 0 else o
-                if sg > 0:
+            for j in range(1, len(hs)):
+                h = hs[best[0]][j]
+                sg = signs[h] if h >= 0 else 1  # the sign of m_j - m_best
+                if sg < 0:
                     best = [j]
                 elif sg == 0:
                     best.append(j)
@@ -215,18 +204,18 @@ def cells_via_arrangement(s: TropSystem) -> PrevarietyComplex:
     """Prevariety cells as merged tie-pattern classes of arrangement faces."""
     arr = s.arrangement
     read = _pattern_reader(s, arr)
-    # a zero pattern needs a tie in every polynomial, and any tie of two
-    # distinct monomials sits on a hyperplane sourced from that polynomial
-    groups: dict[TiePattern, list[ArrFace]] = {}
-    for face in arr.covering_faces():
-        b = read(face.signs, zero_only=True)
-        if b is not None:
-            groups.setdefault(b, []).append(face)
-    cells = []
-    for b, faces in groups.items():
-        top = max(faces, key=lambda f: f.dim)
-        cells.append(PrevarietyCell(b, top.dim, top.witness))
-    return PrevarietyComplex(s, cells)
+
+    def zero(signs) -> bool:
+        # a tie in every polynomial: on a covering flat, and closed under
+        # taking faces, as the prevariety is closed
+        return read(signs, zero_only=True) is not None
+
+    top: dict[TiePattern, ArrFace] = {}  # each pattern's first face of top dimension
+    for face in arr.faces(zero):
+        b = read(face.signs)
+        if b not in top or face.dim > top[b].dim:
+            top[b] = face
+    return PrevarietyComplex(s, [PrevarietyCell(b, f.dim, f.witness) for b, f in top.items()])
 
 
 class DualFace:

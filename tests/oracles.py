@@ -44,6 +44,13 @@ Each oracle deliberately avoids the code path it is used to check:
   by expanding each into all its nonempty subsets, for the textbook
   ``betti`` examples; ``topology.triangulate`` lists each chain of the face
   poset once and never expands a subset.
+- ``nerve_betti`` takes the Betti numbers of a realized complex from the
+  nerve of its members: by the nerve theorem a finite union of closed
+  convex sets is homotopy equivalent to the nerve of the cover, whose
+  simplices are the member sets with a nonempty common intersection,
+  decided by LP (``HPolyhedron.intersect`` and ``is_empty``).  It uses
+  neither the realization, the tie arrangement, the dual route nor the
+  face poset.
 - ``sign_vector`` evaluates every rational hyperplane at a point
   (``hyperplane_value``), and ``face_at`` picks the enumerated face with
   that sign vector; the enumeration under test reads integer rows scaled
@@ -63,7 +70,7 @@ from tropbetti.cli import sign_vectors_bruteforce  # the one copy; re-exported h
 from tropbetti.exactgeom import DimensionMismatch, HPolyhedron, VPolytope
 from tropbetti.linprog import LPStatus, solve_lp
 from tropbetti.prevariety import DualFace, TiePattern, _pattern_reader
-from tropbetti.topology import SimplicialComplex
+from tropbetti.topology import BettiVector, SimplicialComplex, betti
 from tropbetti.tropical import TropPoly, eval_poly, is_zero
 
 
@@ -104,6 +111,25 @@ def from_maximal(maximal) -> SimplicialComplex:
             simplices.update(frozenset(c) for c in itertools.combinations(s, r))
     vertices = tuple(sorted({v for s in simplices for v in s}))
     return SimplicialComplex(vertices, frozenset(simplices))
+
+
+def nerve_betti(c) -> BettiVector:
+    """Betti numbers of the union of a complex's member polyhedra, from the
+    nerve of the members (Björner, "Topological methods", Handbook of
+    Combinatorics, 1995, Thm 10.6)."""
+    members = range(len(c.polyhedra))
+    simplices = set()
+    for r in range(1, len(c.polyhedra) + 1):
+        for sub in itertools.combinations(members, r):
+            # a set with a facet outside the nerve has an empty intersection
+            if r > 1 and any(frozenset(f) not in simplices for f in itertools.combinations(sub, r - 1)):
+                continue
+            common = c.polyhedra[sub[0]]
+            for i in sub[1:]:
+                common = common.intersect(c.polyhedra[i])
+            if not common.is_empty():
+                simplices.add(frozenset(sub))
+    return betti(SimplicialComplex(tuple(members), frozenset(simplices)))
 
 
 def convex_hull_2d(points) -> list[tuple[Fraction, Fraction]]:

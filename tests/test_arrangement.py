@@ -182,29 +182,38 @@ def _covering_by_sources(arr, face):
     return len(polys) == arr.k
 
 
+def everything(signs) -> bool:
+    return True
+
+
+def covering_faces(arr):
+    """The walk over covering flats that keeps every face on them."""
+    return enumerate_faces(arr, keep=everything)
+
+
 def assert_covering_enumeration_matches(s):
     """The walk over covering flats equals the full walk, filtered."""
     arr = build_arrangement(s)
     full = enumerate_faces(arr)
     want = [f for f in full if _covering_by_sources(arr, f)]
-    assert _face_keys(enumerate_faces(arr, covering=True)) == _face_keys(want)
-    # both ways of filling Arrangement.covering_faces agree as well
+    assert _face_keys(covering_faces(arr)) == _face_keys(want)
+    # both ways of answering Arrangement.faces(keep) agree as well
     walked = Arrangement(arr.n, arr.k, arr.hyperplanes, arr.degenerate_pairs)
     filtered = Arrangement(arr.n, arr.k, arr.hyperplanes, arr.degenerate_pairs)
     filtered.faces()
-    assert _face_keys(walked.covering_faces()) == _face_keys(filtered.covering_faces()) == _face_keys(want)
+    assert _face_keys(walked.faces(everything)) == _face_keys(filtered.faces(everything)) == _face_keys(want)
 
 
 def test_covering_enumeration_examples():
     # single monomial: no ties, no covering face
     lone = TropSystem(2, [poly(((1, 0), 0), ((0, 0), 0)), poly(((0, 1), 3))])
-    assert build_arrangement(lone).covering_faces() == ()
+    assert covering_faces(build_arrangement(lone)) == ()
     # a degenerate pair (x + 0, x + 1) never ties; the other pairs of the
     # second polynomial do, on the lines x = y + 2 and x = y + 1
     degen = TropSystem(2, [poly(((1, 0), 0), ((0, 0), 0)), poly(((1, 0), 0), ((1, 0), 1), ((0, 1), 2))])
     arr = build_arrangement(degen)
     assert arr.degenerate_pairs
-    assert [f.dim for f in arr.covering_faces()] == [0, 0]
+    assert [f.dim for f in covering_faces(arr)] == [0, 0]
     for s in (lone, degen, LINE):
         assert_covering_enumeration_matches(s)
 
@@ -253,7 +262,7 @@ def realized_square() -> TropSystem:
 def test_face_lists_match_pinned_digests():
     """Signs, dimensions and stepped witnesses are byte for byte as pinned."""
     corpus = system_corpus(face_digests.CORPUS_SEED, face_digests.CORPUS_COUNT)
-    covering = [face_digest(build_arrangement(s).covering_faces()) for s in corpus]
+    covering = [face_digest(covering_faces(build_arrangement(s))) for s in corpus]
     assert covering == list(face_digests.COVERING)
     full = {}
     for i, s in enumerate(corpus):
@@ -261,8 +270,8 @@ def test_face_lists_match_pinned_digests():
         if arr.ell <= face_digests.MAX_FULL_ELL:
             full[i] = face_digest(arr.faces())
     assert full == face_digests.FULL
-    assert face_digest(build_arrangement(gen_grid_example(3, 3)).covering_faces()) == face_digests.GRID_3_3
-    assert face_digest(build_arrangement(realized_square()).covering_faces()) == face_digests.SQUARE
+    assert face_digest(covering_faces(build_arrangement(gen_grid_example(3, 3)))) == face_digests.GRID_3_3
+    assert face_digest(covering_faces(build_arrangement(realized_square()))) == face_digests.SQUARE
 
 
 def test_arrangement_runs_without_rational_linear_algebra(monkeypatch):
@@ -280,7 +289,7 @@ def test_arrangement_runs_without_rational_linear_algebra(monkeypatch):
     monkeypatch.setattr(Hyperplane, "value", refuse, raising=False)
     for s in systems:
         assert build_arrangement(s).faces()
-        build_arrangement(s).covering_faces()
+        covering_faces(build_arrangement(s))
 
 
 # ------------------------------------------------------------ guards

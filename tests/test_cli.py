@@ -204,6 +204,30 @@ def test_gen_grid_rejects_empty_sizes(capsys):
         assert "Traceback" not in err
 
 
+def test_gen_corpus_rejects_a_negative_count(capsys, tmp_path):
+    out_dir = tmp_path / "corpus"
+    for argv in (["--count", "-3"], ["--count", "-1", "--dir", str(out_dir)]):
+        code, out, err = run(capsys, ["gen", "corpus", *argv])
+        assert code == 1 and out == "" and err == "error: need count >= 0\n"
+    assert not out_dir.exists()
+    code, out, _ = run(capsys, ["gen", "corpus", "--count", "0"])
+    assert code == 0 and json.loads(out) == []
+
+
+def test_check_corpus_needs_a_directory(capsys, tmp_path):
+    """A mistyped --corpus path must not pass as an empty corpus."""
+    afile = tmp_path / "system.json"
+    afile.write_text(LINE_DOC)
+    for path in (tmp_path / "no" / "such" / "dir", afile):
+        code, out, err = run(capsys, ["check", "--corpus", str(path)])
+        assert code == 1 and out == ""
+        assert err == f"error: --corpus {path} is not a directory\n"
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    code, out, _ = run(capsys, ["check", "--corpus", str(empty)])
+    assert code == 0 and out == '{"all_ok":true,"count":0,"failures":[],"reports":{}}\n'
+
+
 def test_realize_command(capsys, monkeypatch):
     doc = '{"n":1,"polyhedra":[{"eq":[[[1],"0"]]},{"eq":[[[1],"5"]]}]}'
     code, out, _ = run(capsys, ["realize", "-"], doc, monkeypatch)
@@ -348,13 +372,13 @@ def test_check_and_betti_build_no_polyhedron(monkeypatch):
 
 
 def test_check_enumerates_faces_once_per_system(monkeypatch):
-    """One walk per check: the covering faces, or every face for the oracle."""
+    """One walk per check: the zero faces, or every face for the oracle."""
     calls = []
     enumerate_faces = arrangement.enumerate_faces
 
-    def counted(arr, covering=False):
-        calls.append(covering)
-        return enumerate_faces(arr, covering)
+    def counted(arr, keep=None):
+        calls.append(keep is not None)
+        return enumerate_faces(arr, keep)
 
     monkeypatch.setattr(arrangement, "enumerate_faces", counted)
     line = parse_system(LINE_DOC.encode())
@@ -375,7 +399,7 @@ def test_check_enumerates_faces_once_per_system(monkeypatch):
 
 
 def test_dual_subdivision_builds_no_arrangement(monkeypatch):
-    def refuse(arr, covering=False):
+    def refuse(arr, keep=None):
         raise AssertionError("the dual route enumerated arrangement faces")
 
     systems = [parse_system(LINE_DOC.encode())] + system_corpus(CORPUS_SEED, 10)

@@ -18,7 +18,7 @@ from tropbetti.prevariety import (
     tropical_faces,
 )
 from tropbetti.realize import ComplexDescription, complex_prevariety, gen_grid_example
-from tropbetti.tropical import LinForm, TropPoly, TropSystem, is_system_zero
+from tropbetti.tropical import LinForm, TropPoly, TropSystem, eval_poly, is_system_zero
 
 from oracles import dual_patterns_by_faces, face_at, minkowski_sum, pattern_at, pattern_closure
 from strategies import small_systems
@@ -353,6 +353,64 @@ def test_sign_patterns_random(s):
     assert_sign_patterns_match_evaluation(s, s.arrangement.faces())
 
 
+def test_pattern_reader_examples():
+    """A pair with equal exponents never ties and its larger constant never
+    attains the minimum; Laurent exponents sort like any others.  The
+    reader agrees with ``eval_poly`` at every face's witness."""
+    # monomials sort as 0 -> index 0, y + 2 -> 1, x -> 2, x + 1 -> 3
+    degen = TropSystem(2, [poly(((1, 0), 0), ((1, 0), 1), ((0, 1), 2), ((0, 0), 0))])
+    laurent = TropSystem(
+        2,
+        [
+            TropPoly(
+                [LinForm.make((-1, 0), 0), LinForm.make((0, -2), 1), LinForm.make((1, 1), Fraction(-1, 2))],
+                laurent=True,
+            ),
+            TropPoly([LinForm.make((0, 0), 0), LinForm.make((-1, 1), 3)], laurent=True),
+        ],
+    )
+    assert degen.arrangement.degenerate_pairs == ((0, 2, 3),)
+    read = _pattern_reader(degen, degen.arrangement)
+    assert read(face_at(degen.arrangement, (0, -2)).signs).pairs == ((0, 0), (0, 1), (0, 2))
+    assert read(face_at(degen.arrangement, (5, 5)).signs).pairs == ((0, 0),)
+    assert read(face_at(degen.arrangement, (-1, 5)).signs, zero_only=True) is None
+    for s in (degen, laurent):
+        read = _pattern_reader(s, s.arrangement)
+        for face in s.arrangement.faces():
+            argmins = [eval_poly(f, face.witness)[1] for f in s.polys]
+            want = tuple((i, j) for i, row in enumerate(argmins) for j in sorted(row))
+            assert read(face.signs).pairs == want
+            zero = all(len(row) >= 2 for row in argmins)
+            assert read(face.signs, zero_only=True) == (TiePattern(want) if zero else None)
+
+
+def zero_faces_keys(s):
+    """(signs, dim, witness) of the pruned walk and of the covering walk
+    filtered by zero pattern."""
+    arr = s.arrangement
+    read = _pattern_reader(s, arr)
+
+    def zero(signs):
+        return read(signs, zero_only=True) is not None
+
+    covering = enumerate_faces(arr, keep=lambda signs: True)
+    want = [(f.signs, f.dim, f.witness) for f in covering if zero(f.signs)]
+    return [(f.signs, f.dim, f.witness) for f in enumerate_faces(arr, keep=zero)], want
+
+
+def test_pruned_walk_on_corpus_grid_and_square():
+    for s in system_corpus(20260823, 100) + [gen_grid_example(3, 3), SQUARE]:
+        got, want = zero_faces_keys(s)
+        assert got == want
+
+
+@given(small_systems())
+@settings(deadline=None, max_examples=80)
+def test_pruned_walk_random(s):
+    got, want = zero_faces_keys(s)
+    assert got == want
+
+
 def test_square_covering_faces_and_patterns():
     """Acceptance criterion 6's square: 140 hyperplanes, 81 polynomials."""
 
@@ -360,7 +418,7 @@ def test_square_covering_faces_and_patterns():
     arr = s.arrangement
     full = enumerate_faces(arr)
     keys = [(f.signs, f.dim, f.witness) for f in full if arr.covers(f.zero_set)]
-    covering = enumerate_faces(arr, covering=True)
+    covering = enumerate_faces(arr, keep=lambda signs: True)
     assert [(f.signs, f.dim, f.witness) for f in covering] == keys
     assert len(covering) < len(full) / 10
     # evaluating all 81 polynomials takes ~25 ms a face: check every 8th

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropbetti.corpus import complex_corpus, random_system
+from tropbetti.corpus import complex_corpus, random_complex, random_system
 from tropbetti.exactgeom import HPolyhedron, InvariantError
 from tropbetti.prevariety import PrevarietyComplex, cells_via_arrangement, connected_components
 from tropbetti.realize import ComplexDescription, complex_prevariety, gen_grid_example
@@ -16,7 +16,7 @@ from tropbetti.topology import (
 )
 from tropbetti.tropical import LinForm, TropPoly, TropSystem
 
-from oracles import from_maximal, pattern_closure, simplicial_betti, sliced_closures
+from oracles import from_maximal, nerve_betti, pattern_closure, simplicial_betti, sliced_closures
 from strategies import small_systems
 
 
@@ -214,6 +214,33 @@ def test_poset_lineality_and_retract_match_polyhedra(s):
 def test_poset_lineality_and_retract_match_polyhedra_realized(seed):
     [c] = complex_corpus(seed, 1, max_members=2)
     _assert_poset_matches_polyhedra(cells_via_arrangement(complex_prevariety(c)))
+
+
+# Betti numbers of the union of each member list of complex_corpus(7, 40),
+# from the nerve of the members (``oracles.nerve_betti``).  They judge the
+# members whose cells take more than about a second or do not finish.
+NERVE_BETTI = (
+    (1,), (4,), (1,), (2,), (3,), (1,), (2,), (1,), (1,), (3,),
+    (1,), (1,), (3,), (1, 1), (2,), (2,), (2,), (3,), (1,), (1,),
+    (4,), (1,), (1,), (2,), (3,), (1,), (2,), (1,), (2,), (1,),
+    (3,), (1,), (1,), (3,), (1, 1), (3,), (2,), (2,), (1,), (1,),
+)
+SLOW_MEMBERS = frozenset({1, 4, 5, 13, 20, 21, 28, 33, 39})
+
+
+def test_nerve_betti_on_complex_corpus():
+    corpus = complex_corpus(7, 40)
+    assert tuple(nerve_betti(c).b for c in corpus) == NERVE_BETTI
+    for i, c in enumerate(corpus):
+        if i not in SLOW_MEMBERS:
+            assert betti_of_complex(cells_via_arrangement(complex_prevariety(c))).b == NERVE_BETTI[i], i
+
+
+@given(st.integers(0, 10**6))
+@settings(deadline=None, max_examples=30)
+def test_nerve_betti_random(seed):
+    c = random_complex(random.Random(seed), max_n=2, max_members=3)
+    assert betti_of_complex(cells_via_arrangement(complex_prevariety(c))) == nerve_betti(c)
 
 
 def test_retract_rejects_an_edge_without_two_ends(monkeypatch):
