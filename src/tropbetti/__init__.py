@@ -13,7 +13,6 @@ from .bounds import (
     BoundReport,
     bound_report,
     degree_bound,
-    dense_volume_bound,
     sparse_bound,
     verify_bounds,
 )
@@ -63,8 +62,6 @@ from .tropical import (
     degree,
     drop_dominated,
     eval_poly,
-    is_system_zero,
-    is_zero,
     trop_mul,
 )
 

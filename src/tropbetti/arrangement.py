@@ -18,11 +18,19 @@ A face's zero set is the set of definers of its flat.  A flat is
 *covering* when its definers have source ties in every polynomial; only
 faces on covering flats can carry prevariety cells.  A subflat only gains
 definers, so covering flats are closed under descent.  ``faces()`` walks
-every flat, as the sign-vector oracle needs; ``faces(keep)`` walks only
-the covering ones, as the cells need, and steps off only the faces whose
-sign vectors ``keep`` accepts.  If those are closed under taking faces,
-the facet that first reaches a kept face in the full walk is kept too, so
-each kept face gets the full walk's witness.
+every flat, as the sign-vector oracle needs; ``faces(keep)`` builds and
+walks only the covering ones, as the cells need, and steps off only the
+faces whose sign vectors ``keep`` accepts.  A covering subflat F of a flat
+L that ties no monomials of a polynomial p has a hyperplane h of p among
+its definers, which crosses L, so F lies in the subflat L & h: the lattice
+intersects a flat that is not covering only with the hyperplanes of one
+such p, the one with the fewest, and a covering flat with every
+hyperplane, which keeps its ``split`` exact.  Each level's flats are
+walked in the order of their sorted definers, the order in which the
+breadth-first lattice of every flat lists them.  So if the kept faces are
+closed under taking faces, the facet that first reaches a kept face in the
+full walk is kept and walked first here too, and each kept face gets the
+full walk's witness.
 
 Everything below the public hyperplanes runs in ``int`` arithmetic.  The
 walk reads hyperplane i as the integer row (N_i, O_i) = c_i (normal,
@@ -112,6 +120,10 @@ class Arrangement:
         self.hyperplanes = tuple(hyperplanes)
         self.degenerate_pairs = tuple(degenerate_pairs)
         self._hp_polys = tuple(frozenset(i for i, _, _ in h.sources) for h in self.hyperplanes)
+        self._poly_hps: list[list[int]] = [[] for _ in range(k)]  # each polynomial's hyperplanes
+        for h, polys in enumerate(self._hp_polys):
+            for p in polys:
+                self._poly_hps[p].append(h)
         self._rows = tuple(_integer_row(h) for h in self.hyperplanes)
         self._cache: dict = {}
 
@@ -124,10 +136,14 @@ class Arrangement:
 
     def covers(self, zero_set) -> bool:
         """Whether the hyperplanes in zero_set tie monomials of all k polynomials."""
-        covered: set[int] = set()
+        return len(self._tied(zero_set)) == self.k
+
+    def _tied(self, zero_set) -> set[int]:
+        """The polynomials that the hyperplanes in zero_set tie monomials of."""
+        tied: set[int] = set()
         for i in zero_set:
-            covered |= self._hp_polys[i]
-        return len(covered) == self.k
+            tied |= self._hp_polys[i]
+        return tied
 
     def faces(self, keep=None) -> tuple[ArrFace, ...]:
         """Every face, cached; with ``keep``, the covering faces it accepts
@@ -144,26 +160,41 @@ class Arrangement:
 def build_arrangement(system: TropSystem) -> Arrangement:
     # (normal, offset numerator, offset denominator) -> source pairs
     seen: dict[tuple[tuple[int, ...], int, int], list[tuple[int, int, int]]] = {}
+    # (monomial, monomial) -> its tie's key in ``seen``, or None if they never
+    # tie: polynomials of one system often share monomials
+    ties: dict = {}
     degenerate = []
     for i, f in enumerate(system.polys):
         mons = [(m.a, m.b.numerator, m.b.denominator) for m in f.monomials]
-        for (j1, (a1, p1, q1)), (j2, (a2, p2, q2)) in itertools.combinations(enumerate(mons), 2):
-            diff = [x - y for x, y in zip(a1, a2)]
-            q = next((c for c, x in enumerate(diff) if x), None)
-            if q is None:
+        for (j1, m1), (j2, m2) in itertools.combinations(enumerate(mons), 2):
+            if (m1, m2) not in ties:
+                ties[m1, m2] = _tie_key(m1, m2)
+            key = ties[m1, m2]
+            if key is None:
                 degenerate.append((i, j1, j2))
-                continue
-            normal = linalg.primitive(diff if diff[q] > 0 else [-x for x in diff])
-            # diff = g normal, so the tie is normal.x = (b2 - b1) / g, put
-            # in lowest terms with a positive denominator
-            num, den = p2 * q1 - p1 * q2, q1 * q2 * (diff[q] // normal[q])
-            if den < 0:
-                num, den = -num, -den
-            r = math.gcd(num, den)
-            seen.setdefault((normal, num // r, den // r), []).append((i, j1, j2))
+            else:
+                seen.setdefault(key, []).append((i, j1, j2))
     hps = [Hyperplane(nrm, Fraction(num, den), tuple(srcs)) for (nrm, num, den), srcs in seen.items()]
     hps.sort(key=lambda h: (h.normal, h.offset))
     return Arrangement(system.n, system.k, hps, degenerate)
+
+
+def _tie_key(m1, m2) -> tuple[tuple[int, ...], int, int] | None:
+    """(normal, offset numerator, offset denominator) of the tie of the
+    monomials (a, num, den), in lowest terms; None if a1 = a2."""
+    (a1, p1, q1), (a2, p2, q2) = m1, m2
+    diff = [x - y for x, y in zip(a1, a2)]
+    q = next((c for c, x in enumerate(diff) if x), None)
+    if q is None:
+        return None
+    normal = linalg.primitive(diff if diff[q] > 0 else [-x for x in diff])
+    # diff = g normal, so the tie is normal.x = (b2 - b1) / g, put in lowest
+    # terms with a positive denominator
+    num, den = p2 * q1 - p1 * q2, q1 * q2 * (diff[q] // normal[q])
+    if den < 0:
+        num, den = -num, -den
+    r = math.gcd(num, den)
+    return normal, num // r, den // r
 
 
 def _integer_row(h: Hyperplane) -> tuple[tuple[int, ...], int]:
@@ -253,7 +284,13 @@ def _points_on_line(fl, hrows, flats, covers):
     return out
 
 
-def _intersection_lattice(n, hrows, covers=None):
+def _intersection_lattice(arr: Arrangement, covering_only: bool) -> list[_Flat]:
+    """Every flat, breadth first; with ``covering_only``, the covering flats,
+    each with its exact ``split``, and only the other flats that lead to
+    them: a flat that ties no monomials of some polynomials is intersected
+    only with the hyperplanes of the one among them with the fewest."""
+    n, hrows = arr.n, arr._rows
+    covers = arr.covers if covering_only else None
     start = _make_flat(n, (), (), hrows)
     flats = {start.rows: start}  # flats by rows, points by ("pt", denom, *base)
     frontier = [start]
@@ -265,9 +302,15 @@ def _intersection_lattice(n, hrows, covers=None):
             if fl.dim == 1:
                 new.extend(_points_on_line(fl, hrows, flats, covers))
                 continue
-            for i, row in enumerate(hrows):
+            crossing = range(len(hrows))
+            if covering_only:
+                tied = arr._tied(fl.definers)
+                if len(tied) < arr.k:
+                    crossing = min((hps for p, hps in enumerate(arr._poly_hps) if p not in tied), key=len)
+            for i in crossing:
                 if i in fl.definers:
                     continue
+                row = hrows[i]
                 if all(linalg.dot(row[0], u) == 0 for u in fl.dirs):
                     continue  # parallel to the flat: empty intersection
                 fl.split = True
@@ -278,7 +321,7 @@ def _intersection_lattice(n, hrows, covers=None):
                 flats[rows] = sub
                 new.append(sub)
         frontier = new
-    return flats
+    return list(flats.values())
 
 
 def _first_outside_span(vectors, spanning):
@@ -319,18 +362,21 @@ def enumerate_faces(arrangement: Arrangement, keep=None) -> tuple[ArrFace, ...]:
     filtered by ``keep``, witnesses included.
     """
     n, hrows = arrangement.n, arrangement._rows
-    covers = arrangement.covers if keep is not None else None
     by_dim: dict[int, list[_Flat]] = {}
-    for fl in _intersection_lattice(n, hrows, covers).values():
-        if covers is None or covers(fl.definers):
+    for fl in _intersection_lattice(arrangement, keep is not None):
+        if keep is None or arrangement.covers(fl.definers):
             by_dim.setdefault(fl.dim, []).append(fl)
+    for level in by_dim.values():
+        # the order of the breadth-first walk of every flat, on which the
+        # stepped witnesses depend: the first facet to reach a face wins
+        level.sort(key=lambda fl: sorted(fl.definers))
 
     # sign vector -> (dim, witness numerators, witness denominator), or None if rejected
     found: dict[tuple[int, ...], tuple[int, tuple[int, ...], int] | None] = {}
     recs_by_dim: dict[int, list[_FaceRec]] = {}
 
     def add_flat_face(fl):
-        signs = tuple(_sign(v) for v in fl.base_values)
+        signs = tuple([(v > 0) - (v < 0) for v in fl.base_values])
         if signs in found:
             return
         kept = keep is None or keep(signs)

@@ -25,12 +25,6 @@ def _dense_scale(r: int) -> int:
     return (2 ** (r + 1) - 1) * math.factorial(r)
 
 
-def dense_volume_bound(s: TropSystem) -> tuple[int, RadVal]:
-    """(r, (2^(r+1)-1) * r! * Vol_r of the summed Newton polytopes)."""
-    r, vol = newton_volume(s.lifted_hull)
-    return r, vol.scaled(_dense_scale(r))
-
-
 def _max_degree(s: TropSystem) -> int:
     """d, the maximum tropical degree; LaurentError for a Laurent system."""
     return max(degree(f) for f in s.polys)

@@ -5,7 +5,8 @@ of its cells, and the slice retracts onto the cells bounded modulo L, which
 ``PrevarietyComplex.retract`` reads from the face poset; no polyhedron is
 built here.  The retract of all components together is triangulated once,
 as the order complex of the complex's face relation ``faces``, and homology
-ranks come from exact rational ranks.
+ranks come from exact rational ranks.  The Euler characteristic, counted
+on the cells themselves, checks the chains and the ranks.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
+from .exactgeom import InvariantError
 from .prevariety import PrevarietyComplex
 
 
@@ -102,5 +104,16 @@ def betti(sc: SimplicialComplex) -> BettiVector:
 
 def betti_of_complex(c: PrevarietyComplex) -> BettiVector:
     """Betti numbers of the whole retract.  Components share no chain, so
-    one order complex over all of them gives the summed boundary ranks."""
-    return betti(triangulate(c, [i for i, keep in enumerate(c.retract) if keep]))
+    one order complex over all of them gives the summed boundary ranks.
+
+    The retract is a regular cell complex whose cells, modulo lineality,
+    have dimension dim - lineality, so by Euler-Poincare the alternating
+    sum of the Betti numbers is the alternating count of those cells; a
+    mismatch raises ``InvariantError``.
+    """
+    members = [i for i, keep in enumerate(c.retract) if keep]
+    b = betti(triangulate(c, members))
+    chi = sum((-1) ** (c.cells[i].dim - c.lineality[i]) for i in members)
+    if sum((-1) ** i * bi for i, bi in enumerate(b.b)) != chi:
+        raise InvariantError("betti_of_complex", f"Betti numbers {b.b} miss the Euler characteristic {chi}")
+    return b

@@ -131,15 +131,6 @@ def degree(f: TropPoly) -> int:
     return max(mon.degree for mon in f.monomials)
 
 
-def is_zero(f: TropPoly, x) -> bool:
-    _, argmin = eval_poly(f, x)
-    return len(argmin) >= 2
-
-
-def is_system_zero(s: TropSystem, x) -> bool:
-    return all(is_zero(f, x) for f in s.polys)
-
-
 def trop_mul(f: TropPoly, g: TropPoly) -> TropPoly:
     """Tropical product; its zero set is zeros(f) union zeros(g)."""
     if f.n != g.n:

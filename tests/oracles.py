@@ -23,6 +23,13 @@ Each oracle deliberately avoids the code path it is used to check:
   conv(P ∪ (P + e)), P with copies raised by the unit lift e, and hull the
   final sum once more after pruning it; the lower hulls under test are
   conv(P) + cone(e), placed with e as a vertex at infinity.
+- ``is_zero`` and ``is_system_zero`` evaluate every monomial at a point
+  with ``eval_poly``; the cells read zeros from sign vectors of the tie
+  arrangement, and the realizations are checked by them point by point.
+- ``dense_volume_bound`` writes the paper's dense bound on its own, as
+  (2^(r+1) - 1) r! times the (r, Vol_r) that ``newton_volume`` reads from
+  the lifted hull; ``bound_report`` computes the same bound and is compared
+  with it.
 - ``univariate_zeros`` finds breakpoints of a univariate min-envelope from
   pairwise tie candidates.
 - ``is_bounded_lp`` decides boundedness with one LP over the full
@@ -61,17 +68,18 @@ Each oracle deliberately avoids the code path it is used to check:
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import sympy
 
 from tropbetti import exactgeom, linalg
 from tropbetti.cli import sign_vectors_bruteforce  # the one copy; re-exported here
-from tropbetti.exactgeom import DimensionMismatch, HPolyhedron, VPolytope
+from tropbetti.exactgeom import DimensionMismatch, HPolyhedron, RadVal, VPolytope, newton_volume
 from tropbetti.linprog import LPStatus, solve_lp
 from tropbetti.prevariety import DualFace, TiePattern, _pattern_reader
 from tropbetti.topology import BettiVector, SimplicialComplex, betti
-from tropbetti.tropical import TropPoly, eval_poly, is_zero
+from tropbetti.tropical import TropPoly, eval_poly
 
 
 def rational_rank(rows) -> int:
@@ -261,6 +269,21 @@ def lower_faces_raised(point_sets) -> list:
             argmins.append(frozenset(j for j, v in enumerate(values) if v == min(values)))
         out.append((tuple(Fraction(v, w[r]) for v in w[:r]), tuple(argmins)))
     return out
+
+
+def is_zero(f: TropPoly, x) -> bool:
+    _, argmin = eval_poly(f, x)
+    return len(argmin) >= 2
+
+
+def is_system_zero(s, x) -> bool:
+    return all(is_zero(f, x) for f in s.polys)
+
+
+def dense_volume_bound(s) -> tuple[int, RadVal]:
+    """(r, (2^(r+1)-1) * r! * Vol_r of the summed Newton polytopes)."""
+    r, vol = newton_volume(s.lifted_hull)
+    return r, vol.scaled((2 ** (r + 1) - 1) * math.factorial(r))
 
 
 def univariate_zeros(f: TropPoly) -> list[Fraction]:

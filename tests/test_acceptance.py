@@ -17,9 +17,9 @@ from tropbetti.exactgeom import HPolyhedron
 from tropbetti.prevariety import cells_via_arrangement
 from tropbetti.realize import ComplexDescription, complex_prevariety, gen_grid_example
 from tropbetti.topology import betti_of_complex
-from tropbetti.tropical import LinForm, TropPoly, TropSystem, is_system_zero
+from tropbetti.tropical import LinForm, TropPoly, TropSystem
 
-from oracles import sign_vectors_bruteforce
+from oracles import is_system_zero, sign_vectors_bruteforce
 
 CORPUS_SEED = 20260823
 CORPUS_SIZE = 100

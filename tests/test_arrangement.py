@@ -11,8 +11,14 @@ from hypothesis import strategies as st
 import face_digests
 import tropbetti
 from tropbetti import linalg
-from tropbetti.arrangement import Arrangement, Hyperplane, build_arrangement, enumerate_faces
-from tropbetti.corpus import random_system, system_corpus
+from tropbetti.arrangement import (
+    Arrangement,
+    Hyperplane,
+    _intersection_lattice,
+    build_arrangement,
+    enumerate_faces,
+)
+from tropbetti.corpus import complex_corpus, random_system, system_corpus
 from tropbetti.exactgeom import HPolyhedron
 from tropbetti.realize import ComplexDescription, complex_prevariety, gen_grid_example
 from tropbetti.tropical import LinForm, TropPoly, TropSystem
@@ -227,6 +233,57 @@ def test_covering_enumeration_on_corpus():
 @settings(deadline=None, max_examples=80)
 def test_covering_enumeration_random(s):
     assert_covering_enumeration_matches(s)
+
+
+# ------------------------------------------------ the pruned lattice
+
+
+def _covering_flats(arr, flats):
+    """The covering flats as (dim, definers, rows, base point, split), sorted."""
+    return sorted(
+        (fl.dim, sorted(fl.definers), fl.rows, fl.base, fl.denom, fl.split)
+        for fl in flats
+        if arr.covers(fl.definers)
+    )
+
+
+def assert_pruned_lattice_matches(s):
+    """The lattice built for the cells has every covering flat of the full
+    lattice, with the same split flag, and the full lattice lists each level
+    in the order of its sorted definers, the order the cells walk sorts to."""
+    arr = build_arrangement(s)
+    full = _intersection_lattice(arr, False)
+    for d in range(arr.n + 1):
+        level = [sorted(fl.definers) for fl in full if fl.dim == d]
+        assert level == sorted(level)
+    assert _covering_flats(arr, _intersection_lattice(arr, True)) == _covering_flats(arr, full)
+
+
+def test_pruned_lattice_on_corpus_grid_square_and_members():
+    members = complex_corpus(7, 40)
+    systems = system_corpus(face_digests.CORPUS_SEED, face_digests.CORPUS_COUNT) + [
+        gen_grid_example(3, 3),
+        realized_square(),
+        complex_prevariety(members[34]),
+        complex_prevariety(members[39]),
+    ]
+    for s in systems:
+        assert_pruned_lattice_matches(s)
+
+
+@given(small_systems())
+@settings(deadline=None, max_examples=80)
+def test_pruned_lattice_random(s):
+    assert_pruned_lattice_matches(s)
+
+
+def test_pruned_lattice_on_the_square_builds_few_flats():
+    """Of the square's 140 lines only the pivot polynomial's 20 are built
+    from the plane, and one of the 584 flats (the plane) is not covering."""
+    arr = build_arrangement(realized_square())
+    flats = _intersection_lattice(arr, True)
+    assert (arr.ell, len(flats), sum(arr.covers(fl.definers) for fl in flats)) == (140, 584, 583)
+    assert sum(fl.dim == 1 for fl in flats) == min(len(hps) for hps in arr._poly_hps) == 20
 
 
 # ------------------------------------------------- pinned face lists

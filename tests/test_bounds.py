@@ -5,14 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 
-from tropbetti.bounds import degree_bound, dense_volume_bound, sparse_bound, verify_bounds
+from tropbetti.bounds import degree_bound, sparse_bound, verify_bounds
 from tropbetti.corpus import random_system, system_corpus
 from tropbetti.exactgeom import RadVal, newton_volume
 from tropbetti.realize import gen_grid_example
 from tropbetti.tropical import LaurentError, LinForm, TropPoly, TropSystem
 
 from corpus_volumes import CORPUS_SEED, DENSE_VOLUMES
-from oracles import minkowski_sum, newton_polytope
+from oracles import dense_volume_bound, minkowski_sum, newton_polytope
 from strategies import small_systems
 
 
@@ -25,13 +25,12 @@ CROSS = TropSystem(2, [poly(((0, 0), 0), ((1, 0), 0)), poly(((0, 0), 0), ((0, 1)
 
 
 def test_dense_volume_bound_examples():
-    r, bound = dense_volume_bound(LINE)
-    assert (r, bound) == (2, RadVal(Fraction(7)))
-    r, bound = dense_volume_bound(CROSS)
-    assert (r, bound) == (2, RadVal(Fraction(14)))
     uni = TropSystem(1, [poly(((2,), 0), ((1,), 1), ((0,), 3))])
-    r, bound = dense_volume_bound(uni)
-    assert (r, bound) == (1, RadVal(Fraction(6)))
+    for s, want in ((LINE, 7), (CROSS, 14), (uni, 6)):
+        r, bound = dense_volume_bound(s)
+        assert (r, bound) == (s.n, RadVal(Fraction(want)))
+        report = verify_bounds(s)
+        assert (report.r, report.dense_bound) == (r, bound)
 
 
 def test_dense_volumes_pinned_on_corpus():

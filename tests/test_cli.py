@@ -16,7 +16,7 @@ from tropbetti.cli import (
     parse_system,
     serialize_system,
 )
-from tropbetti import arrangement, cli, exactgeom, linprog
+from tropbetti import arrangement, cli, exactgeom, linprog, topology
 from tropbetti.corpus import complex_corpus, random_system, system_corpus
 from tropbetti.exactgeom import InvariantError
 from tropbetti.linprog import LPResult, LPStatus
@@ -482,6 +482,22 @@ def test_check_fails_on_a_wrong_dual_witness(capsys, monkeypatch):
     code, out, err = run(capsys, ["check", "-"], LINE_DOC, monkeypatch)
     assert code == 2 and out == ""
     assert "InvariantError: dual_cell" in err
+
+
+def test_betti_exits_2_when_the_triangulation_drops_a_chain(capsys, monkeypatch):
+    """The tropical line's retract is one vertex; without its chain the
+    Betti numbers miss the Euler characteristic 1."""
+    real = topology.triangulate
+
+    def drop_longest(c, members):
+        sc = real(c, members)
+        longest = max(sc.simplices, key=lambda s: (len(s), sorted(s)))
+        return topology.SimplicialComplex(sc.vertices, sc.simplices - {longest})
+
+    monkeypatch.setattr(topology, "triangulate", drop_longest)
+    code, out, err = run(capsys, ["betti", "-"], LINE_DOC, monkeypatch)
+    assert code == 2 and out == ""
+    assert "InvariantError: betti_of_complex: Betti numbers () miss the Euler characteristic 1" in err
 
 
 def test_cli_stdout_matches_pinned_digests(tmp_path, capsys):

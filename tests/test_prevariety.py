@@ -18,9 +18,9 @@ from tropbetti.prevariety import (
     tropical_faces,
 )
 from tropbetti.realize import ComplexDescription, complex_prevariety, gen_grid_example
-from tropbetti.tropical import LinForm, TropPoly, TropSystem, eval_poly, is_system_zero
+from tropbetti.tropical import LinForm, TropPoly, TropSystem, eval_poly
 
-from oracles import dual_patterns_by_faces, face_at, minkowski_sum, pattern_at, pattern_closure
+from oracles import dual_patterns_by_faces, face_at, is_system_zero, minkowski_sum, pattern_at, pattern_closure
 from strategies import small_systems
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)

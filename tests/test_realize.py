@@ -16,9 +16,8 @@ from tropbetti.realize import (
     union_prevarieties,
 )
 from tropbetti.topology import betti_of_complex
-from tropbetti.tropical import is_system_zero
 
-from oracles import univariate_zeros
+from oracles import is_system_zero, univariate_zeros
 
 
 F = Fraction

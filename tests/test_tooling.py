@@ -36,6 +36,15 @@ def test_run_corpus_check_checks_only_the_corpus_it_wrote(tmp_path, capsys):
     assert lines[-1].startswith("checked 2 systems")
 
 
+def test_time_realized_prints_each_members_figures(capsys):
+    script = _load(ROOT / "scripts" / "time_realized.py")
+    assert script.run(["16", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["member 16", "member 0"]
+    assert lines[0].endswith("n=2 k=4 ell=14 cells=8 betti=[2]")
+    assert lines[1].endswith("n=2 k=4 ell=9 cells=3 betti=[1]")
+
+
 def test_benchmark_harness_names_exist():
     """Every name the tracer wraps and the worker imports is in the package.
 

@@ -13,12 +13,11 @@ from tropbetti.tropical import (
     degree,
     drop_dominated,
     eval_poly,
-    is_zero,
     make_coeffs_nonneg,
     trop_mul,
 )
 
-from oracles import minkowski_sum, newton_polytope, univariate_zeros
+from oracles import is_zero, minkowski_sum, newton_polytope, univariate_zeros
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
