@@ -60,7 +60,6 @@ from .tropical import (
     TropPoly,
     TropSystem,
     degree,
-    drop_dominated,
     eval_poly,
     trop_mul,
 )

@@ -17,20 +17,20 @@ rational +-eps lands witnesses in the two adjacent regions.
 A face's zero set is the set of definers of its flat.  A flat is
 *covering* when its definers have source ties in every polynomial; only
 faces on covering flats can carry prevariety cells.  A subflat only gains
-definers, so covering flats are closed under descent.  ``faces()`` walks
-every flat, as the sign-vector oracle needs; ``faces(keep)`` builds and
-walks only the covering ones, as the cells need, and steps off only the
-faces whose sign vectors ``keep`` accepts.  A covering subflat F of a flat
-L that ties no monomials of a polynomial p has a hyperplane h of p among
-its definers, which crosses L, so F lies in the subflat L & h: the lattice
-intersects a flat that is not covering only with the hyperplanes of one
-such p, the one with the fewest, and a covering flat with every
-hyperplane, which keeps its ``split`` exact.  Each level's flats are
-walked in the order of their sorted definers, the order in which the
-breadth-first lattice of every flat lists them.  So if the kept faces are
-closed under taking faces, the facet that first reaches a kept face in the
-full walk is kept and walked first here too, and each kept face gets the
-full walk's witness.
+definers, so covering flats are closed under descent.  There is one entry
+point: ``enumerate_faces(arr)`` walks every flat, as the sign-vector
+oracle needs; ``enumerate_faces(arr, keep)`` builds and walks only the
+covering ones, as the cells need, and steps off only the faces whose sign
+vectors ``keep`` accepts.  A covering subflat F of a flat L that ties no
+monomials of a polynomial p has a hyperplane h of p among its definers,
+which crosses L, so F lies in the subflat L & h: the lattice intersects a
+flat that is not covering only with the hyperplanes of one such p, the one
+with the fewest, and a covering flat with every hyperplane, which keeps
+its ``split`` exact.  Each level's flats are walked in the order of their
+sorted definers, the order in which the breadth-first lattice of every
+flat lists them.  So if the kept faces are closed under taking faces, the
+facet that first reaches a kept face in the full walk is kept and walked
+first here too, and each kept face gets the full walk's witness.
 
 Everything below the public hyperplanes runs in ``int`` arithmetic.  The
 walk reads hyperplane i as the integer row (N_i, O_i) = c_i (normal,
@@ -48,9 +48,8 @@ point and directions are their integer solution and kernel.  Points and
 witnesses are integer vectors over one denominator in lowest terms, and
 become ``Fraction`` vectors only in the finished faces.
 
-An arrangement caches its face lists, and each system owns its
-arrangement (``TropSystem.arrangement``), so the lists live exactly as
-long as the system; nothing is cached across systems.
+Each system owns its arrangement (``TropSystem.arrangement``).  Face
+lists are not cached: each call walks the arrangement afresh.
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 from . import linalg
@@ -102,30 +100,24 @@ class ArrFace:
     def __hash__(self):
         return hash(self.signs)
 
-    @cached_property
-    def zero_set(self) -> frozenset[int]:
-        return frozenset(i for i, s in enumerate(self.signs) if s == 0)
-
 
 class Arrangement:
     """Deduplicated tie hyperplanes of a tropical polynomial system.
 
-    ``degenerate_pairs`` records monomial pairs with equal variable parts
-    and distinct constants; they never tie and induce no hyperplane.
+    Monomial pairs with equal variable parts never tie and induce no
+    hyperplane.
     """
 
-    def __init__(self, n: int, k: int, hyperplanes, degenerate_pairs=()):
+    def __init__(self, n: int, k: int, hyperplanes):
         self.n = n
         self.k = k
         self.hyperplanes = tuple(hyperplanes)
-        self.degenerate_pairs = tuple(degenerate_pairs)
         self._hp_polys = tuple(frozenset(i for i, _, _ in h.sources) for h in self.hyperplanes)
         self._poly_hps: list[list[int]] = [[] for _ in range(k)]  # each polynomial's hyperplanes
         for h, polys in enumerate(self._hp_polys):
             for p in polys:
                 self._poly_hps[p].append(h)
         self._rows = tuple(_integer_row(h) for h in self.hyperplanes)
-        self._cache: dict = {}
 
     @property
     def ell(self) -> int:
@@ -145,17 +137,6 @@ class Arrangement:
             tied |= self._hp_polys[i]
         return tied
 
-    def faces(self, keep=None) -> tuple[ArrFace, ...]:
-        """Every face, cached; with ``keep``, the covering faces it accepts
-        (``enumerate_faces``), filtered from the cache when that is filled."""
-        if keep is None:
-            if "faces" not in self._cache:
-                self._cache["faces"] = enumerate_faces(self)
-            return self._cache["faces"]
-        if "faces" in self._cache:
-            return tuple(f for f in self._cache["faces"] if self.covers(f.zero_set) and keep(f.signs))
-        return enumerate_faces(self, keep)
-
 
 def build_arrangement(system: TropSystem) -> Arrangement:
     # (normal, offset numerator, offset denominator) -> source pairs
@@ -163,20 +144,17 @@ def build_arrangement(system: TropSystem) -> Arrangement:
     # (monomial, monomial) -> its tie's key in ``seen``, or None if they never
     # tie: polynomials of one system often share monomials
     ties: dict = {}
-    degenerate = []
     for i, f in enumerate(system.polys):
         mons = [(m.a, m.b.numerator, m.b.denominator) for m in f.monomials]
         for (j1, m1), (j2, m2) in itertools.combinations(enumerate(mons), 2):
             if (m1, m2) not in ties:
                 ties[m1, m2] = _tie_key(m1, m2)
             key = ties[m1, m2]
-            if key is None:
-                degenerate.append((i, j1, j2))
-            else:
+            if key is not None:
                 seen.setdefault(key, []).append((i, j1, j2))
     hps = [Hyperplane(nrm, Fraction(num, den), tuple(srcs)) for (nrm, num, den), srcs in seen.items()]
     hps.sort(key=lambda h: (h.normal, h.offset))
-    return Arrangement(system.n, system.k, hps, degenerate)
+    return Arrangement(system.n, system.k, hps)
 
 
 def _tie_key(m1, m2) -> tuple[tuple[int, ...], int, int] | None:

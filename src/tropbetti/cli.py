@@ -16,6 +16,7 @@ import traceback
 from fractions import Fraction
 from pathlib import Path
 
+from . import arrangement
 from .bounds import BoundReport, bound_report, verify_bounds
 from .corpus import system_corpus
 from .exactgeom import HPolyhedron, RadVal
@@ -223,12 +224,7 @@ def sign_vectors_bruteforce(arr) -> dict[tuple[int, ...], tuple[Fraction, ...]]:
 def check_system(s: TropSystem, oracle: bool = False) -> dict:
     # The two routes share no computation: the dual cells come from the
     # lower hull of the lifted Newton sum, the cells from the zero faces
-    # of the tie arrangement.  The oracle needs every face; walked first,
-    # that list is filtered for the cells instead of a second walk.
-    arr = s.arrangement
-    run_oracle = oracle and arr.ell <= 6
-    if run_oracle:
-        arr.faces()
+    # of the tie arrangement.
     trop = tropical_faces(dual_subdivision(s))
     duals = [dual_cell(s, f) for f in trop]
     comp = cells_via_arrangement(s)
@@ -245,9 +241,11 @@ def check_system(s: TropSystem, oracle: bool = False) -> dict:
     report["cross_method_ok"] = cross_ok
     report["duality_ok"] = duality_ok
 
+    # The oracle walks every face, apart from the covering walk of the cells.
+    arr = s.arrangement
     oracle_ok = None
-    if run_oracle:
-        got = {f.signs for f in arr.faces()}
+    if oracle and arr.ell <= 6:
+        got = {f.signs for f in arrangement.enumerate_faces(arr)}
         oracle_ok = got == sign_vectors_bruteforce(arr).keys()
         # The n 2^n C(ell, n) bound applies to the faces carrying ties
         # (those on the hyperplane union); regions carry no zeros.
@@ -280,22 +278,37 @@ def _emit_off(path: str, comp: PrevarietyComplex) -> None:
         if lineality > 0 or not retract or cell.dim > 2:
             continue
         # a bounded cell's vertices are its 0-dimensional faces
-        vs = [lift(v) for v in sorted(comp.cells[j].witness for j in cell_faces if comp.cells[j].dim == 0)]
-        ids = []
-        for v in vs:
+        corners = sorted((j for j in cell_faces if comp.cells[j].dim == 0), key=lambda j: comp.cells[j].witness)
+        for j in corners:
+            v = lift(comp.cells[j].witness)
             if v not in index:
                 index[v] = len(verts)
                 verts.append(v)
-            ids.append(index[v])
         if cell.dim == 2:
-            cx = [sum(c) / len(vs) for c in zip(*vs)]
-            ids.sort(key=lambda i: math.atan2(verts[i][1] - cx[1], verts[i][0] - cx[0]))
+            corners = _boundary_cycle(comp, cell_faces, corners[0])
+        ids = [index[lift(comp.cells[j].witness)] for j in corners]
         if len(ids) >= 2:
             faces.append(ids)
     lines = ["OFF", f"{len(verts)} {len(faces)} 0"]
     lines += [" ".join(f"{c:.6f}" for c in v) for v in verts]
     lines += [" ".join(str(x) for x in [len(ids)] + ids) for ids in faces]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _boundary_cycle(comp: PrevarietyComplex, cell_faces, first: int) -> list[int]:
+    """The vertices of a bounded 2-cell in boundary order from ``first``:
+    each step crosses one of its edges (its 1-dimensional faces) to the
+    edge's other end, so no coordinate is compared."""
+    ends: dict[int, list[int]] = {}
+    for e in cell_faces:
+        if comp.cells[e].dim == 1:
+            a, b = (v for v in comp.faces[e] if comp.cells[v].dim == 0)
+            ends.setdefault(a, []).append(b)
+            ends.setdefault(b, []).append(a)
+    cycle = [first]
+    while len(cycle) < len(ends):
+        cycle.append(next(v for v in ends[cycle[-1]] if v not in cycle[-2:]))
+    return cycle
 
 
 def _cmd_cells(args) -> tuple[dict, int]:

@@ -1,8 +1,10 @@
 """Exact two-phase simplex over the rationals.
 
 Variables are free; constraints are equalities a.x == b and inequalities
-a.x >= b.  Bland's rule throughout, so termination is guaranteed.  This is
-the single feasibility/optimization engine behind all geometric predicates.
+a.x >= b.  Bland's rule throughout, so termination is guaranteed.  Its
+callers are ``check --oracle``'s sign-vector brute force and the
+``HPolyhedron`` predicates, of which ``realize`` uses the affine hull; face
+enumeration, the cells, the dual route and the Betti numbers solve no LP.
 """
 
 from __future__ import annotations

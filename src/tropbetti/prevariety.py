@@ -5,7 +5,7 @@ constant argmin pattern; the faces whose pattern has at least two entries
 per polynomial cover the prevariety, and faces sharing a pattern B are
 merged into the single convex, relatively open cell U_B.  Such a face has
 a tie in every polynomial, so it lies on a covering flat, and the route
-walks those flats keeping only these faces (``Arrangement.faces(keep)``).
+walks those flats keeping only these faces (``enumerate_faces(arr, keep)``).
 
 Patterns are read from sign vectors, not by evaluating monomials: the
 monomials are sorted by (a, b), so for j1 < j2 of one polynomial,
@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from . import linalg
+from . import arrangement, linalg
 from .arrangement import ArrFace, Arrangement
 from .exactgeom import CanonicalHRep, InvariantError, canonical_form, lower_faces
 from .tropical import TropSystem, eval_poly
@@ -59,7 +59,8 @@ class TiePattern:
 
 
 def _pattern_reader(s: TropSystem, arr: Arrangement):
-    """Function from a face's sign vector to its argmin pattern.
+    """Function from a face's sign vector to its argmin pattern if that is
+    a zero pattern (a tie in every polynomial), else to None.
 
     ``TropPoly`` sorts its monomials by (a, b): for j1 < j2 either a_j1 = a_j2
     and b_j1 < b_j2, or a_j2 - a_j1 has first nonzero entry positive, as
@@ -73,8 +74,7 @@ def _pattern_reader(s: TropSystem, arr: Arrangement):
         for i, j1, j2 in hp.sources:
             tables[i][j1][j2] = h
 
-    def read(signs, zero_only: bool = False) -> TiePattern | None:
-        """The pattern; with ``zero_only``, None unless it is a zero pattern."""
+    def read(signs) -> TiePattern | None:
         pairs = []
         for i, hs in enumerate(tables):
             best = [0]
@@ -85,7 +85,7 @@ def _pattern_reader(s: TropSystem, arr: Arrangement):
                     best = [j]
                 elif sg == 0:
                     best.append(j)
-            if zero_only and len(best) < 2:
+            if len(best) < 2:
                 return None
             pairs.extend((i, j) for j in best)
         return TiePattern(tuple(pairs))
@@ -208,10 +208,10 @@ def cells_via_arrangement(s: TropSystem) -> PrevarietyComplex:
     def zero(signs) -> bool:
         # a tie in every polynomial: on a covering flat, and closed under
         # taking faces, as the prevariety is closed
-        return read(signs, zero_only=True) is not None
+        return read(signs) is not None
 
     top: dict[TiePattern, ArrFace] = {}  # each pattern's first face of top dimension
-    for face in arr.faces(zero):
+    for face in arrangement.enumerate_faces(arr, zero):
         b = read(face.signs)
         if b not in top or face.dim > top[b].dim:
             top[b] = face

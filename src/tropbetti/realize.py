@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import linalg
 from .exactgeom import HPolyhedron
-from .tropical import LinForm, TropPoly, TropSystem, drop_dominated, make_coeffs_nonneg, trop_mul
+from .tropical import LinForm, TropPoly, TropSystem, make_coeffs_nonneg, trop_mul
 
 MAX_COMPLEX_MEMBERS = 6
 """Union systems grow as products of member system sizes; desk-scale cap."""
@@ -73,18 +73,14 @@ def polyhedron_prevariety(p: HPolyhedron) -> TropSystem:
             polys.extend(halfspace_prevariety(p.n, equations, row).polys)
     else:
         polys.extend(halfspace_prevariety(p.n, equations).polys)
-    seen = []
-    for f in polys:
-        if f not in seen:
-            seen.append(f)
-    return TropSystem(p.n, seen)
+    return TropSystem(p.n, dict.fromkeys(polys))
 
 
 def union_prevarieties(a: TropSystem, b: TropSystem) -> TropSystem:
     """Zero set = zeros(a) union zeros(b), via pairwise tropical products."""
     if a.n != b.n:
         raise ValueError("ambient dimensions differ")
-    return TropSystem(a.n, [drop_dominated(trop_mul(f, g)) for f in a.polys for g in b.polys])
+    return TropSystem(a.n, [trop_mul(f, g) for f in a.polys for g in b.polys])
 
 
 def complex_prevariety(c: ComplexDescription) -> TropSystem:

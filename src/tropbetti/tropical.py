@@ -104,8 +104,7 @@ class TropSystem:
     def arrangement(self) -> Arrangement:
         """The tie arrangement, built once and freed with the system.
 
-        It caches its face lists, so the stages of one analysis (the
-        cells and the oracle) enumerate the faces at most once.
+        Its faces are not cached: each ``enumerate_faces`` call walks it.
         """
         return build_arrangement(self)
 
@@ -132,28 +131,21 @@ def degree(f: TropPoly) -> int:
 
 
 def trop_mul(f: TropPoly, g: TropPoly) -> TropPoly:
-    """Tropical product; its zero set is zeros(f) union zeros(g)."""
+    """Tropical product; its zero set is zeros(f) union zeros(g).
+
+    Tropical addition is min, so each exponent's coefficient is the least
+    constant among the monomial products with that exponent; a larger one
+    never attains the minimum.
+    """
     if f.n != g.n:
         raise DimensionMismatch("polynomial arities differ")
-    mons = set()
+    best: dict[tuple[int, ...], Fraction] = {}
     for mf in f.monomials:
         for mg in g.monomials:
-            mons.add(LinForm.make(linalg.vadd(mf.a, mg.a), mf.b + mg.b))
-    return TropPoly(mons, laurent=f.laurent or g.laurent)
-
-
-def drop_dominated(f: TropPoly) -> TropPoly:
-    """Remove monomials strictly dominated by a parallel one.
-
-    Of monomials sharing a coefficient vector only the smallest constant
-    can ever attain the minimum; argmin sets (hence zeros) are unchanged.
-    """
-    best: dict[tuple[int, ...], LinForm] = {}
-    for mon in f.monomials:
-        cur = best.get(mon.a)
-        if cur is None or mon.b < cur.b:
-            best[mon.a] = mon
-    return TropPoly(best.values(), laurent=f.laurent)
+            a, b = linalg.vadd(mf.a, mg.a), mf.b + mg.b
+            if a not in best or b < best[a]:
+                best[a] = b
+    return TropPoly([LinForm(a, b) for a, b in best.items()], laurent=f.laurent or g.laurent)
 
 
 def make_coeffs_nonneg(f: TropPoly) -> TropPoly:

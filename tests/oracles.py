@@ -36,10 +36,15 @@ Each oracle deliberately avoids the code path it is used to check:
   recession cone; ``HPolyhedron.is_bounded`` first reduces the cone to the
   equalities' kernel and distinct rows, and needs no LP up to dimension 1.
 - ``pattern_at`` evaluates every monomial at a point with ``eval_poly``;
-  the cells and the dual route read patterns from sign vectors instead.
-- ``dual_patterns_by_faces`` reads the dual subdivision's patterns off
+  the cells read zero patterns from sign vectors instead, and the dual
+  route from the lower hull's facets.
+- ``dual_patterns_by_faces`` evaluates the patterns at the witness of
   every face of the tie arrangement; the dual route under test takes the
   lower hull of the lifted Newton sum and never builds the arrangement.
+- ``formal_product`` multiplies every pair of monomials and keeps every
+  product, and ``drop_dominated`` then keeps the least constant of each
+  exponent; ``trop_mul`` merges the products of one exponent as it forms
+  them.
 - ``pattern_closure`` writes a cell's closure with a row per tie and per
   other monomial, so ``HPolyhedron.canonical`` strips redundant rows by LP;
   ``PrevarietyComplex.hrep`` reads one row per facet from the face poset.
@@ -74,12 +79,13 @@ from fractions import Fraction
 import sympy
 
 from tropbetti import exactgeom, linalg
+from tropbetti.arrangement import enumerate_faces
 from tropbetti.cli import sign_vectors_bruteforce  # the one copy; re-exported here
 from tropbetti.exactgeom import DimensionMismatch, HPolyhedron, RadVal, VPolytope, newton_volume
 from tropbetti.linprog import LPStatus, solve_lp
-from tropbetti.prevariety import DualFace, TiePattern, _pattern_reader
+from tropbetti.prevariety import DualFace, TiePattern
 from tropbetti.topology import BettiVector, SimplicialComplex, betti
-from tropbetti.tropical import TropPoly, eval_poly
+from tropbetti.tropical import LinForm, TropPoly, eval_poly
 
 
 def rational_rank(rows) -> int:
@@ -305,18 +311,37 @@ def pattern_at(s, x) -> TiePattern:
     return TiePattern.make(pairs)
 
 
+def formal_product(f: TropPoly, g: TropPoly) -> TropPoly:
+    """Every product of a monomial of f with one of g, none merged."""
+    return TropPoly(
+        [LinForm.make(linalg.vadd(mf.a, mg.a), mf.b + mg.b) for mf in f.monomials for mg in g.monomials],
+        laurent=f.laurent or g.laurent,
+    )
+
+
+def drop_dominated(f: TropPoly) -> TropPoly:
+    """Remove monomials strictly dominated by a parallel one.
+
+    Of monomials sharing a coefficient vector only the smallest constant
+    can ever attain the minimum; argmin sets (hence zeros) are unchanged.
+    """
+    best: dict[tuple[int, ...], LinForm] = {}
+    for mon in f.monomials:
+        cur = best.get(mon.a)
+        if cur is None or mon.b < cur.b:
+            best[mon.a] = mon
+    return TropPoly(best.values(), laurent=f.laurent)
+
+
 def dual_patterns_by_faces(s) -> list[DualFace]:
     """One DualFace per argmin pattern of the arrangement's faces, sorted.
 
-    Every x lies on one face, whose sign vector gives its pattern, so the
-    faces realize exactly the lower faces of the lifted Newton sum; each
-    face's witness has its pattern.
+    Every x lies on one face, which has one pattern throughout, so the
+    faces realize exactly the lower faces of the lifted Newton sum.
     """
-    arr = s.arrangement
-    read = _pattern_reader(s, arr)
     seen: dict[TiePattern, DualFace] = {}
-    for face in arr.faces():
-        b = read(face.signs)
+    for face in enumerate_faces(s.arrangement):
+        b = pattern_at(s, face.witness)
         if b not in seen:
             seen[b] = DualFace(s, b, face.witness)
     return sorted(seen.values(), key=lambda f: f.pattern.pairs)
@@ -405,5 +430,5 @@ def sign_vector(arr, x) -> tuple[int, ...]:
 def face_at(arr, x):
     """The one enumerated face whose relative interior contains x."""
     sv = sign_vector(arr, x)
-    [face] = [f for f in arr.faces() if f.signs == sv]
+    [face] = [f for f in enumerate_faces(arr) if f.signs == sv]
     return face

@@ -12,7 +12,6 @@ import face_digests
 import tropbetti
 from tropbetti import linalg
 from tropbetti.arrangement import (
-    Arrangement,
     Hyperplane,
     _intersection_lattice,
     build_arrangement,
@@ -23,7 +22,7 @@ from tropbetti.exactgeom import HPolyhedron
 from tropbetti.realize import ComplexDescription, complex_prevariety, gen_grid_example
 from tropbetti.tropical import LinForm, TropPoly, TropSystem
 
-from oracles import face_at, sign_vector, sign_vectors_bruteforce
+from oracles import sign_vector, sign_vectors_bruteforce
 from strategies import small_systems
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -55,9 +54,9 @@ def test_build_tropical_line():
 
 
 def test_build_parallel_monomials_degenerate():
+    # equal exponents never tie: the pair induces no hyperplane
     arr = build_arrangement(TropSystem(1, [poly(((1,), 0), ((1,), 1))]))
     assert arr.ell == 0
-    assert arr.degenerate_pairs == ((0, 0, 1),)
 
 
 def test_build_two_polynomials():
@@ -78,19 +77,17 @@ def test_empty_arrangement_single_face():
     s = TropSystem(2, [poly(((0, 0), 5))])
     arr = build_arrangement(s)
     assert arr.ell == 0
-    assert len(arr.faces()) == 1
-    assert arr.faces()[0].dim == 2
+    [face] = enumerate_faces(arr)
+    assert face.dim == 2
 
 
 def test_single_hyperplane_three_faces():
     arr = build_arrangement(TropSystem(1, [poly(((1,), 0), ((0,), 0))]))
-    assert len(arr.faces()) == 3
-    assert sorted(f.dim for f in arr.faces()) == [0, 1, 1]
+    assert sorted(f.dim for f in enumerate_faces(arr)) == [0, 1, 1]
 
 
 def test_tropical_line_thirteen_faces():
-    arr = build_arrangement(LINE)
-    faces = arr.faces()
+    faces = enumerate_faces(build_arrangement(LINE))
     assert len(faces) == 13
     dims = sorted(f.dim for f in faces)
     assert dims == [0] + [1] * 6 + [2] * 6
@@ -98,12 +95,12 @@ def test_tropical_line_thirteen_faces():
 
 def test_two_generic_lines_nine_faces():
     s = TropSystem(2, [poly(((1, 0), 0), ((0, 0), 0)), poly(((0, 1), 0), ((0, 0), 0))])
-    assert len(build_arrangement(s).faces()) == 9
+    assert len(enumerate_faces(build_arrangement(s))) == 9
 
 
 def test_faces_sorted_and_consistent():
     arr = build_arrangement(LINE)
-    faces = arr.faces()
+    faces = enumerate_faces(arr)
     assert [f.signs for f in faces] == sorted(f.signs for f in faces)
     for f in faces:
         assert sign_vector(arr, f.witness) == f.signs
@@ -118,7 +115,7 @@ def test_oracle_equivalence_seeded():
         arr = build_arrangement(s)
         if arr.ell > 6:
             continue
-        got = {f.signs: f for f in arr.faces()}
+        got = {f.signs: f for f in enumerate_faces(arr)}
         want = sign_vectors_bruteforce(arr)
         assert set(got) == set(want)
         for sv, f in got.items():
@@ -134,7 +131,7 @@ def test_face_count_bound():
     for _ in range(10):
         s = random_system(rng, max_k=2, max_m=3)
         arr = build_arrangement(s)
-        proper = sum(1 for f in arr.faces() if 0 in f.signs)
+        proper = sum(1 for f in enumerate_faces(arr) if 0 in f.signs)
         if arr.ell >= arr.n:
             assert proper <= arr.n * 2**arr.n * math.comb(arr.ell, arr.n)
         else:
@@ -144,30 +141,33 @@ def test_face_count_bound():
             )
 
 
+LINE_ARR = build_arrangement(LINE)
+LINE_FACES = enumerate_faces(LINE_ARR)
+
+
 @given(st.tuples(rationals, rationals))
 @settings(deadline=None, max_examples=200)
 def test_partition_every_point_in_exactly_one_face(x):
-    arr = build_arrangement(LINE)
-    home = face_at(arr, x)
-    assert face_closure(arr, home).contains(x)
-    assert sum(1 for f in arr.faces() if f.signs == sign_vector(arr, x)) == 1
+    sv = sign_vector(LINE_ARR, x)
+    [home] = [f for f in LINE_FACES if f.signs == sv]
+    assert face_closure(LINE_ARR, home).contains(x)
 
 
 def test_partition_random_points_random_system():
     rng = random.Random(11)
     s = random_system(rng, max_k=2, max_m=4)
     arr = build_arrangement(s)
+    faces = enumerate_faces(arr)
     for _ in range(500):
         x = tuple(Fraction(rng.randint(-40, 40), rng.randint(1, 5)) for _ in range(s.n))
         sv = sign_vector(arr, x)
-        assert sum(1 for f in arr.faces() if f.signs == sv) == 1
+        assert sum(1 for f in faces if f.signs == sv) == 1
 
 
 def test_closure_consistency():
-    arr = build_arrangement(LINE)
-    faces = {f.signs: f for f in arr.faces()}
-    for f in arr.faces():
-        for g in arr.faces():
+    arr, faces = LINE_ARR, LINE_FACES
+    for f in faces:
+        for g in faces:
             refines = all(
                 sg == sf or sg == 0 for sf, sg in zip(f.signs, g.signs)
             ) and g.signs != f.signs
@@ -203,11 +203,6 @@ def assert_covering_enumeration_matches(s):
     full = enumerate_faces(arr)
     want = [f for f in full if _covering_by_sources(arr, f)]
     assert _face_keys(covering_faces(arr)) == _face_keys(want)
-    # both ways of answering Arrangement.faces(keep) agree as well
-    walked = Arrangement(arr.n, arr.k, arr.hyperplanes, arr.degenerate_pairs)
-    filtered = Arrangement(arr.n, arr.k, arr.hyperplanes, arr.degenerate_pairs)
-    filtered.faces()
-    assert _face_keys(walked.faces(everything)) == _face_keys(filtered.faces(everything)) == _face_keys(want)
 
 
 def test_covering_enumeration_examples():
@@ -218,7 +213,7 @@ def test_covering_enumeration_examples():
     # second polynomial do, on the lines x = y + 2 and x = y + 1
     degen = TropSystem(2, [poly(((1, 0), 0), ((0, 0), 0)), poly(((1, 0), 0), ((1, 0), 1), ((0, 1), 2))])
     arr = build_arrangement(degen)
-    assert arr.degenerate_pairs
+    assert arr.ell == 3  # x = 0, and two of the second polynomial's three pairs
     assert [f.dim for f in covering_faces(arr)] == [0, 0]
     for s in (lone, degen, LINE):
         assert_covering_enumeration_matches(s)
@@ -325,7 +320,7 @@ def test_face_lists_match_pinned_digests():
     for i, s in enumerate(corpus):
         arr = build_arrangement(s)
         if arr.ell <= face_digests.MAX_FULL_ELL:
-            full[i] = face_digest(arr.faces())
+            full[i] = face_digest(enumerate_faces(arr))
     assert full == face_digests.FULL
     assert face_digest(covering_faces(build_arrangement(gen_grid_example(3, 3)))) == face_digests.GRID_3_3
     assert face_digest(covering_faces(build_arrangement(realized_square()))) == face_digests.SQUARE
@@ -345,8 +340,9 @@ def test_arrangement_runs_without_rational_linear_algebra(monkeypatch):
     # the package no longer defines Hyperplane.value; it must not come back
     monkeypatch.setattr(Hyperplane, "value", refuse, raising=False)
     for s in systems:
-        assert build_arrangement(s).faces()
-        covering_faces(build_arrangement(s))
+        arr = build_arrangement(s)
+        assert enumerate_faces(arr)
+        covering_faces(arr)
 
 
 # ------------------------------------------------------------ guards

@@ -334,6 +334,37 @@ def test_emit_off(tmp_path, capsys, monkeypatch):
     assert text.startswith("OFF\n")
 
 
+def test_emit_off_orders_a_polygon_along_its_edges(tmp_path, capsys):
+    """A bounded 2-cell in the vertical plane x = 0 is written as a polygon:
+    consecutive vertices share an edge, so no step crosses a diagonal."""
+    square = {
+        "n": 3,
+        "polyhedra": [
+            {
+                "eq": [[[1, 0, 0], "0"]],
+                "ineq": [[[0, 1, 0], "0"], [[0, -1, 0], "-1"], [[0, 0, 1], "0"], [[0, 0, -1], "-1"]],
+            }
+        ],
+    }
+    system = tmp_path / "system.json"
+    realized = complex_prevariety(parse_complex(json.dumps(square).encode()))
+    system.write_text(json.dumps(serialize_system(realized)))
+    off = tmp_path / "cells.off"
+    assert main(["cells", str(system), "--emit-off", str(off)]) == 0
+    capsys.readouterr()
+    lines = off.read_text().splitlines()
+    nv, nf, _ = map(int, lines[1].split())
+    verts = [tuple(float(c) for c in line.split()) for line in lines[2 : 2 + nv]]
+    faces = [list(map(int, line.split()))[1:] for line in lines[2 + nv :]]
+    assert len(faces) == nf
+    edges = {frozenset(ids) for ids in faces if len(ids) == 2}
+    [polygon] = [ids for ids in faces if len(ids) > 2]
+    assert sorted(verts[i] for i in polygon) == [(0, y, z) for y in (0, 1) for z in (0, 1)]
+    assert len(edges) == 4
+    for a, b in zip(polygon, polygon[1:] + polygon[:1]):
+        assert frozenset((a, b)) in edges
+
+
 def test_emit_off_matches_pinned_digests(tmp_path, capsys):
     """The OFF file of every corpus system is byte-identical."""
     corpus = tmp_path / "corpus"
@@ -372,7 +403,8 @@ def test_check_and_betti_build_no_polyhedron(monkeypatch):
 
 
 def test_check_enumerates_faces_once_per_system(monkeypatch):
-    """One walk per check: the zero faces, or every face for the oracle."""
+    """One covering walk per check, for the cells; when the oracle runs
+    (ell <= 6), one more walk of every face, for its comparison."""
     calls = []
     enumerate_faces = arrangement.enumerate_faces
 
@@ -388,14 +420,32 @@ def test_check_enumerates_faces_once_per_system(monkeypatch):
         check_system(s)
         assert calls == [True]
         calls.clear()
-        s = parse_system(json.dumps(serialize_system(s)).encode())  # a fresh arrangement
         report = check_system(s, oracle=True)
         if report["oracle_ok"] is None:  # the oracle skips ell > 6
             assert calls == [True]
         else:
-            assert report["oracle_ok"] and calls == [False]
+            assert report["oracle_ok"] and calls == [True, False]
             oracle_runs += 1
     assert oracle_runs >= 5
+
+
+def test_check_oracle_judges_the_covering_walk(monkeypatch):
+    """Under --oracle the cells still come from the covering walk: a covering
+    walk that drops a face fails the cross-check, though the oracle's own
+    walk of every face agrees with its sign vectors."""
+    enumerate_faces = arrangement.enumerate_faces
+
+    def dropping(arr, keep=None):
+        faces = enumerate_faces(arr, keep)
+        if keep is None:
+            return faces
+        drop = max(faces, key=lambda f: f.dim)
+        return tuple(f for f in faces if f is not drop)
+
+    monkeypatch.setattr(arrangement, "enumerate_faces", dropping)
+    report = check_system(parse_system(LINE_DOC.encode()), oracle=True)
+    assert report["oracle_ok"] is True
+    assert report["cross_method_ok"] is False and report["all_ok"] is False
 
 
 def test_dual_subdivision_builds_no_arrangement(monkeypatch):

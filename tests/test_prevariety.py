@@ -53,13 +53,13 @@ SQUARE = complex_prevariety(
 
 
 def tie_pattern(s, face) -> TiePattern:
-    """Argmin pattern on the face's relative interior, read from its signs."""
-    return _pattern_reader(s, s.arrangement)(face.signs)
+    """Argmin pattern on the face's relative interior, evaluated at its witness."""
+    return pattern_at(s, face.witness)
 
 
 def cell_closure(s, b: TiePattern) -> set[TiePattern]:
     """Patterns of the proper faces of U_B (they partition its boundary)."""
-    realized = {tie_pattern(s, face) for face in s.arrangement.faces()}
+    realized = {tie_pattern(s, face) for face in enumerate_faces(s.arrangement)}
     if b not in realized:
         raise EmptyPolyhedronError("U_B is empty: pattern not realized")
     return {b1 for b1 in realized if set(b.pairs) < set(b1.pairs)}
@@ -114,7 +114,7 @@ def test_pattern_merge_shared_by_several_faces():
     # non-minimal monomials), but it is a single convex prevariety cell
     s = TropSystem(2, [poly(((0, 0), 0), ((0, 1), 10), ((0, 2), 9), ((1, 0), 0))])
     b = TiePattern.make([(0, 0), (0, 3)])
-    carriers = [f for f in s.arrangement.faces() if tie_pattern(s, f) == b]
+    carriers = [f for f in enumerate_faces(s.arrangement) if tie_pattern(s, f) == b]
     assert len(carriers) >= 2
     comp = cells_via_arrangement(s)
     matches = [c for c in comp.cells if c.pattern == b]
@@ -274,7 +274,7 @@ def test_phi_v_at_most_phi_a():
     rng = random.Random(23)
     for _ in range(8):
         s = random_system(rng, max_k=2, max_m=3)
-        assert len(cells_via_arrangement(s).cells) <= len(s.arrangement.faces())
+        assert len(cells_via_arrangement(s).cells) <= len(enumerate_faces(s.arrangement))
 
 
 def test_duplicate_polynomial_leaves_cells_unchanged():
@@ -338,25 +338,25 @@ def assert_sign_patterns_match_evaluation(s, faces):
     read = _pattern_reader(s, s.arrangement)
     for face in faces:
         b = pattern_at(s, face.witness)
-        assert read(face.signs) == b
-        assert read(face.signs, zero_only=True) == (b if b.is_zero_pattern(s.k) else None)
+        assert read(face.signs) == (b if b.is_zero_pattern(s.k) else None)
 
 
 def test_sign_patterns_on_corpus():
     for s in system_corpus(20260823, 40):
-        assert_sign_patterns_match_evaluation(s, s.arrangement.faces())
+        assert_sign_patterns_match_evaluation(s, enumerate_faces(s.arrangement))
 
 
 @given(small_systems())
 @settings(deadline=None, max_examples=80)
 def test_sign_patterns_random(s):
-    assert_sign_patterns_match_evaluation(s, s.arrangement.faces())
+    assert_sign_patterns_match_evaluation(s, enumerate_faces(s.arrangement))
 
 
 def test_pattern_reader_examples():
     """A pair with equal exponents never ties and its larger constant never
     attains the minimum; Laurent exponents sort like any others.  The
-    reader agrees with ``eval_poly`` at every face's witness."""
+    reader gives the zero pattern that ``eval_poly`` finds at every face's
+    witness, and None where that is no zero pattern."""
     # monomials sort as 0 -> index 0, y + 2 -> 1, x -> 2, x + 1 -> 3
     degen = TropSystem(2, [poly(((1, 0), 0), ((1, 0), 1), ((0, 1), 2), ((0, 0), 0))])
     laurent = TropSystem(
@@ -369,19 +369,20 @@ def test_pattern_reader_examples():
             TropPoly([LinForm.make((0, 0), 0), LinForm.make((-1, 1), 3)], laurent=True),
         ],
     )
-    assert degen.arrangement.degenerate_pairs == ((0, 2, 3),)
+    # five of the six pairs tie; x and x + 1 never do
+    assert degen.arrangement.ell == 5
     read = _pattern_reader(degen, degen.arrangement)
     assert read(face_at(degen.arrangement, (0, -2)).signs).pairs == ((0, 0), (0, 1), (0, 2))
-    assert read(face_at(degen.arrangement, (5, 5)).signs).pairs == ((0, 0),)
-    assert read(face_at(degen.arrangement, (-1, 5)).signs, zero_only=True) is None
+    assert read(face_at(degen.arrangement, (-1, -3)).signs).pairs == ((0, 1), (0, 2))
+    assert read(face_at(degen.arrangement, (5, 5)).signs) is None
+    assert read(face_at(degen.arrangement, (-1, 5)).signs) is None
     for s in (degen, laurent):
         read = _pattern_reader(s, s.arrangement)
-        for face in s.arrangement.faces():
+        for face in enumerate_faces(s.arrangement):
             argmins = [eval_poly(f, face.witness)[1] for f in s.polys]
             want = tuple((i, j) for i, row in enumerate(argmins) for j in sorted(row))
-            assert read(face.signs).pairs == want
             zero = all(len(row) >= 2 for row in argmins)
-            assert read(face.signs, zero_only=True) == (TiePattern(want) if zero else None)
+            assert read(face.signs) == (TiePattern(want) if zero else None)
 
 
 def zero_faces_keys(s):
@@ -391,7 +392,7 @@ def zero_faces_keys(s):
     read = _pattern_reader(s, arr)
 
     def zero(signs):
-        return read(signs, zero_only=True) is not None
+        return read(signs) is not None
 
     covering = enumerate_faces(arr, keep=lambda signs: True)
     want = [(f.signs, f.dim, f.witness) for f in covering if zero(f.signs)]
@@ -417,7 +418,7 @@ def test_square_covering_faces_and_patterns():
     s = SQUARE
     arr = s.arrangement
     full = enumerate_faces(arr)
-    keys = [(f.signs, f.dim, f.witness) for f in full if arr.covers(f.zero_set)]
+    keys = [(f.signs, f.dim, f.witness) for f in full if arr.covers([i for i, sg in enumerate(f.signs) if sg == 0])]
     covering = enumerate_faces(arr, keep=lambda signs: True)
     assert [(f.signs, f.dim, f.witness) for f in covering] == keys
     assert len(covering) < len(full) / 10

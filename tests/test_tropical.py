@@ -11,13 +11,12 @@ from tropbetti.tropical import (
     TropPoly,
     TropSystem,
     degree,
-    drop_dominated,
     eval_poly,
     make_coeffs_nonneg,
     trop_mul,
 )
 
-from oracles import is_zero, minkowski_sum, newton_polytope, univariate_zeros
+from oracles import drop_dominated, formal_product, is_zero, minkowski_sum, newton_polytope, univariate_zeros
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
@@ -107,12 +106,21 @@ def test_trop_mul_examples():
     assert trop_mul(fx, unit) == fx
     assert is_zero(prod, (0, 5))
     assert not is_zero(prod, (1, 1))
+    # x y arises twice, with the constants 1 and 6; only 1 can attain the minimum
+    prod = trop_mul(poly(((1, 0), 0), ((0, 1), 4)), poly(((0, 1), 1), ((1, 0), 2)))
+    assert set((m.a, m.b) for m in prod.monomials) == {((1, 1), 1), ((2, 0), 2), ((0, 2), 5)}
 
 
 @given(polys(2, max_m=3), polys(2, max_m=3), points(2))
 @settings(deadline=None, max_examples=80)
 def test_trop_mul_zero_set_is_union(f, g, x):
     assert is_zero(trop_mul(f, g), x) == (is_zero(f, x) or is_zero(g, x))
+
+
+@given(polys(2, laurent=True, max_m=4), polys(2, laurent=True, max_m=4))
+@settings(deadline=None, max_examples=80)
+def test_trop_mul_is_the_formal_product_without_dominated_monomials(f, g):
+    assert trop_mul(f, g) == drop_dominated(formal_product(f, g))
 
 
 @given(polys(2, max_m=3), polys(2, max_m=3))
