@@ -14,23 +14,25 @@ near a relative-interior point of F the arrangement restricted to L looks
 like the single hyperplane spanned by F; stepping off F by an exact
 rational +-eps lands witnesses in the two adjacent regions.
 
-A face's zero set is the set of definers of its flat.  A flat is
-*covering* when its definers have source ties in every polynomial; only
-faces on covering flats can carry prevariety cells.  A subflat only gains
-definers, so covering flats are closed under descent.  There is one entry
-point: ``enumerate_faces(arr)`` walks every flat, as the sign-vector
-oracle needs; ``enumerate_faces(arr, keep)`` builds and walks only the
-covering ones, as the cells need, and steps off only the faces whose sign
-vectors ``keep`` accepts.  A covering subflat F of a flat L that ties no
-monomials of a polynomial p has a hyperplane h of p among its definers,
-which crosses L, so F lies in the subflat L & h: the lattice intersects a
-flat that is not covering only with the hyperplanes of one such p, the one
-with the fewest, and a covering flat with every hyperplane, which keeps
-its ``split`` exact.  Each level's flats are walked in the order of their
-sorted definers, the order in which the breadth-first lattice of every
-flat lists them.  So if the kept faces are closed under taking faces, the
-facet that first reaches a kept face in the full walk is kept and walked
-first here too, and each kept face gets the full walk's witness.
+Each face found has one record (sign vector, witness, hyperplane values,
+flat), and each level's records seed the next.  A face's zero set is the set
+of its flat's definers, so no record stores it.  A flat is *covering* when
+its definers have source ties in every polynomial; only faces on covering
+flats can carry prevariety cells.  A subflat only gains definers, so
+covering flats are closed under descent.  There is one entry point:
+``enumerate_faces(arr)`` walks every flat, as the sign-vector oracle needs;
+``enumerate_faces(arr, keep)`` builds and walks only the covering ones, as
+the cells need, and steps off only the faces whose sign vectors ``keep``
+accepts.  A covering subflat F of a flat L that ties no monomials of a
+polynomial p has a hyperplane h of p among its definers, which crosses L,
+so F lies in the subflat L & h: the lattice intersects a flat that is not
+covering only with the hyperplanes of one such p, the one with the fewest,
+and a covering flat with every hyperplane, which keeps its ``split``
+exact.  Each level's flats are walked in the order of their sorted definers,
+the order in which the breadth-first lattice of every flat lists them.  So
+if the kept faces are closed under taking faces, the facet that first
+reaches a kept face in the full walk is kept and walked first here too, and
+each kept face gets the full walk's witness.
 
 Everything below the public hyperplanes runs in ``int`` arithmetic.  The
 walk reads hyperplane i as the integer row (N_i, O_i) = c_i (normal,
@@ -310,18 +312,17 @@ def _first_outside_span(vectors, spanning):
 
 
 class _FaceRec:
-    """A face on ``flat`` that faces one dimension up step off.
+    """A face on ``flat``, whose definers are the face's zero set.
 
     Its witness is ``witness / denom`` and the hyperplane rows take the
     values ``values[i] / values_denom`` there, all integers over positive
     denominators.
     """
 
-    __slots__ = ("signs", "zero_set", "witness", "denom", "values", "values_denom", "flat")
+    __slots__ = ("signs", "witness", "denom", "values", "values_denom", "flat")
 
-    def __init__(self, signs, zero_set, witness, denom, values, values_denom, flat):
+    def __init__(self, signs, witness, denom, values, values_denom, flat):
         self.signs = signs
-        self.zero_set = zero_set
         self.witness = witness
         self.denom = denom
         self.values = values
@@ -349,47 +350,34 @@ def enumerate_faces(arrangement: Arrangement, keep=None) -> tuple[ArrFace, ...]:
         # stepped witnesses depend: the first facet to reach a face wins
         level.sort(key=lambda fl: sorted(fl.definers))
 
-    # sign vector -> (dim, witness numerators, witness denominator), or None if rejected
-    found: dict[tuple[int, ...], tuple[int, tuple[int, ...], int] | None] = {}
-    recs_by_dim: dict[int, list[_FaceRec]] = {}
-
-    def add_flat_face(fl):
-        signs = tuple([(v > 0) - (v < 0) for v in fl.base_values])
-        if signs in found:
-            return
-        kept = keep is None or keep(signs)
-        found[signs] = (fl.dim, fl.base, fl.denom) if kept else None
-        if kept and fl.dim < n:  # top-dimensional faces seed nothing further
-            zero_set = frozenset(i for i, s in enumerate(signs) if s == 0)
-            rec = _FaceRec(signs, zero_set, fl.base, fl.denom, fl.base_values, fl.values_denom, fl)
-            recs_by_dim.setdefault(fl.dim, []).append(rec)
-
-    for d in range(0, n + 1):
-        level = by_dim.get(d, [])
-        if not level:
-            continue
-        below = recs_by_dim.get(d - 1, ())
+    found: dict[tuple[int, ...], _FaceRec | None] = {}  # sign vector -> its record, or None if rejected
+    below: list[_FaceRec] = []  # the faces one dimension down, in the order found
+    for d in range(n + 1):
+        new: list[_FaceRec] = []
         members_by_hp: dict[int, list[_FaceRec]] = {}
         for rec in below:
-            for i in rec.zero_set:
+            for i in rec.flat.definers:
                 members_by_hp.setdefault(i, []).append(rec)
-        for fl in level:
+        for fl in by_dim.get(d, ()):
             if not fl.split:
                 # Nothing splits the flat: it is a single face outright.
-                add_flat_face(fl)
+                signs = tuple([_sign(v) for v in fl.base_values])
+                if signs not in found:
+                    rec = None
+                    if keep is None or keep(signs):
+                        rec = _FaceRec(signs, fl.base, fl.denom, fl.base_values, fl.values_denom, fl)
+                        new.append(rec)
+                    found[signs] = rec
                 continue
             if fl.definers:
                 i0 = min(fl.definers, key=lambda i: len(members_by_hp.get(i, ())))
-                candidates = [r for r in members_by_hp.get(i0, ()) if r.zero_set >= fl.definers]
+                candidates = [r for r in members_by_hp.get(i0, ()) if r.flat.definers >= fl.definers]
             else:
                 candidates = below
             tu_by_dir: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
-            off_facet: dict[int, tuple[int, ...]] = {}  # id(facet's flat) -> u
             for rec in candidates:
                 # rec spans a hyperplane within fl; step off it both ways.
-                u = off_facet.get(id(rec.flat))
-                if u is None:
-                    u = off_facet[id(rec.flat)] = _first_outside_span(fl.dirs, rec.flat.dirs)
+                u = _first_outside_span(fl.dirs, rec.flat.dirs)
                 if u not in tu_by_dir:
                     tu = [linalg.dot(a, u) for a, _ in hrows]
                     tu_by_dir[u] = tu, [_sign(x) for x in tu]
@@ -412,16 +400,13 @@ def enumerate_faces(arrangement: Arrangement, keep=None) -> tuple[ArrFace, ...]:
                         eps = (near_v, 2 * rec.values_denom * near_t) if near_t else (1, 1)
                     num, den = s * eps[0], eps[1]
                     witness, denom = _shifted(rec.witness, rec.denom, num, den, u)
-                    found[signs] = (d, witness, denom)
-                    if d < n:
-                        values, values_denom = _shifted(rec.values, rec.values_denom, num, den, tu)
-                        zero_set = frozenset(i for i, sg in enumerate(signs) if sg == 0)
-                        recs_by_dim.setdefault(d, []).append(
-                            _FaceRec(signs, zero_set, witness, denom, values, values_denom, fl)
-                        )
+                    values, values_denom = _shifted(rec.values, rec.values_denom, num, den, tu)
+                    found[signs] = _FaceRec(signs, witness, denom, values, values_denom, fl)
+                    new.append(found[signs])
+        below = new
 
     faces = [
-        ArrFace(signs, rec[0], tuple(Fraction(x, rec[2]) for x in rec[1]))
+        ArrFace(signs, rec.flat.dim, tuple(Fraction(x, rec.denom) for x in rec.witness))
         for signs, rec in found.items()
         if rec is not None
     ]

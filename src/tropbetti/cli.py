@@ -136,8 +136,15 @@ def parse_complex(text: bytes) -> ComplexDescription:
 # ------------------------------------------------------------ serializing
 
 
+def _digit_limit_error() -> InputError:
+    return InputError(f"a report integer has more than {sys.get_int_max_str_digits()} digits")
+
+
 def _rat_json(q) -> str:
-    return str(Fraction(q))
+    try:
+        return str(Fraction(q))
+    except ValueError:  # an integer past Python's digit limit for int -> str
+        raise _digit_limit_error() from None
 
 
 def _radval_json(v: RadVal) -> list[int]:
@@ -269,7 +276,10 @@ def _emit_off(path: str, comp: PrevarietyComplex) -> None:
         raise InputError("--emit-off supports ambient dimension <= 3 only")
 
     def lift(v):
-        return tuple(float(x) for x in v) + (0.0,) * (3 - n)
+        try:
+            return tuple(float(x) for x in v) + (0.0,) * (3 - n)
+        except OverflowError:
+            raise InputError("--emit-off: a cell vertex is beyond float range") from None
 
     verts: list[tuple[float, float, float]] = []
     index: dict[tuple[float, float, float], int] = {}
@@ -413,9 +423,12 @@ def _read_input(args) -> bytes:
 
 
 def _dumps(report, mode: str) -> str:
-    if mode == "pretty":
-        return json.dumps(report, sort_keys=True, indent=2) + "\n"
-    return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+    try:
+        if mode == "pretty":
+            return json.dumps(report, sort_keys=True, indent=2) + "\n"
+        return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+    except ValueError:  # an integer past Python's digit limit for int -> str
+        raise _digit_limit_error() from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -456,13 +469,14 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         report, code = args.func(args)
+        text = _dumps(report, args.output)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except Exception:
         traceback.print_exc()
         return 2
-    sys.stdout.write(_dumps(report, args.output))
+    sys.stdout.write(text)
     return code
 
 

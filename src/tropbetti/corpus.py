@@ -20,28 +20,22 @@ def random_rational(rng: random.Random, bound: int = 7) -> Fraction:
     return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
 
 
-def random_system(
-    rng: random.Random,
-    max_n: int = 3,
-    max_k: int = 3,
-    max_m: int = 4,
-    coeff_bound: int = 3,
-) -> TropSystem:
+def random_system(rng: random.Random, max_n: int = 3, max_k: int = 3, max_m: int = 4) -> TropSystem:
     n = rng.randint(1, max_n)
     polys = []
     for _ in range(rng.randint(1, max_k)):
         m = rng.randint(2, max_m)
         mons: set[tuple[tuple[int, ...], Fraction]] = set()
         while len(mons) < m:
-            a = tuple(rng.randint(0, coeff_bound) for _ in range(n))
+            a = tuple(rng.randint(0, 3) for _ in range(n))
             mons.add((a, random_rational(rng)))
         polys.append(TropPoly([LinForm.make(a, b) for a, b in mons]))
     return TropSystem(n, polys)
 
 
-def system_corpus(seed: int, count: int, **kwargs) -> list[TropSystem]:
+def system_corpus(seed: int, count: int) -> list[TropSystem]:
     rng = random.Random(seed)
-    return [random_system(rng, **kwargs) for _ in range(count)]
+    return [random_system(rng) for _ in range(count)]
 
 
 def _nonzero_intvec(rng: random.Random, n: int) -> tuple[int, ...]:

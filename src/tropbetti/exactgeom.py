@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 from collections import Counter, namedtuple
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -139,6 +140,10 @@ class RadVal:
         return hash(self.sq())
 
     def approx(self) -> float:
+        if self.s > sys.float_info.max:
+            # s past float range: isqrt(s) > 10^154 is off from sqrt(s) by
+            # less than 1, far below a float's precision
+            return float(self.q * math.isqrt(self.s))
         return float(self.q) * self.s ** 0.5
 
     def __repr__(self):

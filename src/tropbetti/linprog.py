@@ -179,16 +179,16 @@ def solve_lp(n, eqs, ineqs, objective=None, maximize=False) -> LPResult:
     return LPResult(LPStatus.OPTIMAL, x, value)
 
 
-def relint_witness(n, eqs, stricts, cap=Fraction(1)):
+def relint_witness(n, eqs, stricts):
     """Witness of {eqs hold, a.x > b for all stricts}, or None.
 
-    Maximizes the common slack t (capped) of the strict inequalities; a
-    positive optimum certifies relative-interior nonemptiness exactly.
+    Maximizes the common slack t, capped at 1, of the strict inequalities;
+    a positive optimum certifies relative-interior nonemptiness exactly.
     """
     eqs_t = [(list(a) + [0], b) for a, b in eqs]
     ineqs_t = [(list(a) + [-1], b) for a, b in stricts]
     ineqs_t.append(([0] * n + [1], 0))
-    ineqs_t.append(([0] * n + [-1], -cap))
+    ineqs_t.append(([0] * n + [-1], -1))
     objective = [0] * n + [1]
     res = solve_lp(n + 1, eqs_t, ineqs_t, objective, maximize=True)
     if res.status is not LPStatus.OPTIMAL or res.value <= 0:

@@ -43,10 +43,6 @@ class TiePattern:
 
     pairs: tuple[tuple[int, int], ...]
 
-    @classmethod
-    def make(cls, pairs) -> "TiePattern":
-        return cls(tuple(sorted(set((int(i), int(j)) for i, j in pairs))))
-
     def row(self, i: int) -> frozenset[int]:
         return frozenset(j for ii, j in self.pairs if ii == i)
 

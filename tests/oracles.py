@@ -302,13 +302,19 @@ def univariate_zeros(f: TropPoly) -> list[Fraction]:
     return sorted(x for x in candidates if is_zero(f, (x,)))
 
 
+def make_pattern(pairs) -> TiePattern:
+    """The pattern of (polynomial index, monomial index) pairs, in any order
+    and with repeats."""
+    return TiePattern(tuple(sorted(set((int(i), int(j)) for i, j in pairs))))
+
+
 def pattern_at(s, x) -> TiePattern:
     """Argmin pattern of a system at x, every monomial evaluated exactly."""
     pairs = []
     for i, f in enumerate(s.polys):
         _, argmin = eval_poly(f, x)
         pairs.extend((i, j) for j in argmin)
-    return TiePattern.make(pairs)
+    return make_pattern(pairs)
 
 
 def formal_product(f: TropPoly, g: TropPoly) -> TropPoly:

@@ -20,7 +20,15 @@ from tropbetti.prevariety import (
 from tropbetti.realize import ComplexDescription, complex_prevariety, gen_grid_example
 from tropbetti.tropical import LinForm, TropPoly, TropSystem, eval_poly
 
-from oracles import dual_patterns_by_faces, face_at, is_system_zero, minkowski_sum, pattern_at, pattern_closure
+from oracles import (
+    dual_patterns_by_faces,
+    face_at,
+    is_system_zero,
+    make_pattern,
+    minkowski_sum,
+    pattern_at,
+    pattern_closure,
+)
 from strategies import small_systems
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -76,9 +84,9 @@ def test_tie_pattern_examples():
 
 
 def test_tie_pattern_zero_predicate():
-    assert TiePattern.make([(0, 0), (0, 1)]).is_zero_pattern(1)
-    assert not TiePattern.make([(0, 0)]).is_zero_pattern(1)
-    assert not TiePattern.make([(0, 0), (0, 1)]).is_zero_pattern(2)
+    assert make_pattern([(0, 0), (0, 1)]).is_zero_pattern(1)
+    assert not make_pattern([(0, 0)]).is_zero_pattern(1)
+    assert not make_pattern([(0, 0), (0, 1)]).is_zero_pattern(2)
 
 
 def test_cells_tropical_line():
@@ -113,7 +121,7 @@ def test_pattern_merge_shared_by_several_faces():
     # spans several arrangement faces (split by the tie of the two
     # non-minimal monomials), but it is a single convex prevariety cell
     s = TropSystem(2, [poly(((0, 0), 0), ((0, 1), 10), ((0, 2), 9), ((1, 0), 0))])
-    b = TiePattern.make([(0, 0), (0, 3)])
+    b = make_pattern([(0, 0), (0, 3)])
     carriers = [f for f in enumerate_faces(s.arrangement) if tie_pattern(s, f) == b]
     assert len(carriers) >= 2
     comp = cells_via_arrangement(s)
@@ -124,9 +132,9 @@ def test_pattern_merge_shared_by_several_faces():
 
 
 def test_cell_closure_examples():
-    ray = TiePattern.make([(0, 1), (0, 2)])
-    assert cell_closure(LINE, ray) == {TiePattern.make([(0, 0), (0, 1), (0, 2)])}
-    origin = TiePattern.make([(0, 0), (0, 1), (0, 2)])
+    ray = make_pattern([(0, 1), (0, 2)])
+    assert cell_closure(LINE, ray) == {make_pattern([(0, 0), (0, 1), (0, 2)])}
+    origin = make_pattern([(0, 0), (0, 1), (0, 2)])
     assert cell_closure(LINE, origin) == set()
     grid = gen_grid_example(1, 2)
     for cell in cells_via_arrangement(grid).cells:
@@ -136,7 +144,7 @@ def test_cell_closure_examples():
 def test_cell_closure_unrealized_pattern_raises():
     s = TropSystem(1, [poly(((0,), 3), ((1,), 1), ((2,), 0))])
     with pytest.raises(EmptyPolyhedronError):
-        cell_closure(s, TiePattern.make([(0, 0), (0, 2)]))
+        cell_closure(s, make_pattern([(0, 0), (0, 2)]))
 
 
 def test_dual_subdivision_tropical_line():
