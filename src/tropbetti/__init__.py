@@ -21,13 +21,13 @@ from .exactgeom import (
     DimensionMismatch,
     EmptyPolyhedronError,
     HPolyhedron,
-    InvariantError,
     RadVal,
     VPolytope,
     lifted_sum_hull,
     lower_faces,
     newton_volume,
 )
+from .linalg import InvariantError
 from .prevariety import (
     DualFace,
     PrevarietyCell,

@@ -20,7 +20,7 @@ from . import arrangement
 from .bounds import BoundReport, bound_report, verify_bounds
 from .corpus import system_corpus
 from .exactgeom import HPolyhedron, RadVal
-from .linprog import relint_witness
+from .linprog import feasible_point
 from .prevariety import (
     PrevarietyComplex,
     cells_via_arrangement,
@@ -101,7 +101,7 @@ def parse_system(text: bytes) -> TropSystem:
             if not laurent and any(c < 0 for c in a):
                 raise InputError(f"negative coefficient at {path}")
             mons.append(LinForm.make(a, _rational(mon_doc[1], path)))
-        polys.append(TropPoly(mons, laurent=laurent))
+        polys.append(TropPoly(mons))
     return TropSystem(n, polys)
 
 
@@ -211,8 +211,9 @@ def _bound_report_json(r: BoundReport) -> dict:
 def sign_vectors_bruteforce(arr) -> dict[tuple[int, ...], tuple[Fraction, ...]]:
     """Feasible sign vectors of an arrangement, with relint witnesses.
 
-    All 3^ell candidates are decided by exact LP; the face enumeration it
-    checks uses no LP at all.
+    All 3^ell candidates are decided by exact Fourier–Motzkin elimination
+    (``feasible_point``); the face enumeration it checks steps between
+    faces and decides no feasibility.
     """
     out = {}
     for sv in itertools.product((-1, 0, 1), repeat=arr.ell):
@@ -222,7 +223,7 @@ def sign_vectors_bruteforce(arr) -> dict[tuple[int, ...], tuple[Fraction, ...]]:
                 eqs.append((h.normal, h.offset))
             else:
                 stricts.append((tuple(s * c for c in h.normal), s * h.offset))
-        w = relint_witness(arr.n, eqs, stricts)
+        w = feasible_point(arr.n, eqs, stricts=stricts)
         if w is not None:
             out[sv] = w
     return out

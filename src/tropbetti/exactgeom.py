@@ -1,12 +1,14 @@
 """Exact rational convex geometry: H-polyhedra, V-polytopes, volumes.
 
-H-polyhedron predicates are decided by exact rational LP (see linprog);
-``HPolyhedron`` serves ``realize`` input and the tests' reference.  Its
-``canonical`` and the cells' poset H-reps share ``canonical_form``.
+H-polyhedron predicates are feasibility questions, decided exactly by
+Fourier–Motzkin elimination (see linprog); ``HPolyhedron`` serves
+``realize`` input and the tests' reference.  Its ``canonical`` and the
+cells' poset H-reps share ``canonical_form``.
 A V-polytope's vertices, dimension r and r-volume come from one run of an
-integer placing triangulation, with no LP: the points, scaled to integers,
-are projected onto the pivot columns of their differences, and the r-volume
-is the triangulation's own total times the Gram factor of that projection.
+integer placing triangulation, with no feasibility question: the points,
+scaled to integers, are projected onto the pivot columns of their
+differences, and the r-volume is the triangulation's own total times the
+Gram factor of that projection.
 The lifted Newton sum conv(Q_1 + ... + Q_k) + cone(e) is placed once: its
 bounded faces are the dual route's lower faces, and the placing's total over
 the cones through e gives the volume of the dense bound's Newton sum.
@@ -25,8 +27,8 @@ from collections import Counter, namedtuple
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from . import linalg
-from .linprog import LPStatus, solve_lp
+from . import linalg, linprog
+from .linalg import InvariantError
 
 
 class DimensionMismatch(ValueError):
@@ -35,13 +37,6 @@ class DimensionMismatch(ValueError):
 
 class EmptyPolyhedronError(ValueError):
     pass
-
-
-class InvariantError(RuntimeError):
-    """An internal invariant broke: a defect in the program, not bad input."""
-
-    def __init__(self, stage: str, invariant: str):
-        super().__init__(f"{stage}: {invariant}")
 
 
 _TRIAL_BOUND = 10**5
@@ -226,19 +221,9 @@ class HPolyhedron:
     def __repr__(self):
         return f"HPolyhedron(n={self.n}, eq={len(self.eq)}, ineq={len(self.ineq)})"
 
-    def _lp_constraints(self):
-        eqs = [(list(a), b) for a, b in self.eq]
-        ineqs = [(list(a), b) for a, b in self.ineq]
-        return eqs, ineqs
-
     def feasible_point(self):
         if "feas" not in self._cache:
-            if self.forced_empty:
-                self._cache["feas"] = None
-            else:
-                eqs, ineqs = self._lp_constraints()
-                res = solve_lp(self.n, eqs, ineqs)
-                self._cache["feas"] = res.x if res.status is LPStatus.OPTIMAL else None
+            self._cache["feas"] = None if self.forced_empty else linprog.feasible_point(self.n, self.eq, self.ineq)
         return self._cache["feas"]
 
     def is_empty(self) -> bool:
@@ -253,28 +238,33 @@ class HPolyhedron:
         )
 
     def _relint(self):
-        """(implicit equality indices, relative-interior point) or None."""
+        """(implicit equality indices, relative-interior point) or None.
+
+        A row tight at a feasible point is implicit when no point of the
+        polyhedron satisfies it strictly; then it joins the equalities.
+        The mean of that point and the strict points found is strict on
+        every other row.
+        """
         if "relint" in self._cache:
             return self._cache["relint"]
         w = self.feasible_point()
         if w is None:
             self._cache["relint"] = None
             return None
-        eqs, ineqs = self._lp_constraints()
         implicit: set[int] = set()
-        w = list(w)
+        points = [w]
         for i, (a, b) in enumerate(self.ineq):
             if linalg.dot(a, w) > b:
                 continue
-            cap = [(list(map(lambda v: -v, a)), -(b + 1))]
-            res = solve_lp(self.n, eqs, ineqs + cap, list(a), maximize=True)
-            if res.status is not LPStatus.OPTIMAL:
-                raise InvariantError("HPolyhedron.relative_interior_point", f"capped LP {res.status.value}")
-            if res.value == b:
+            eqs = [*self.eq, *(self.ineq[j] for j in implicit)]
+            others = [row for j, row in enumerate(self.ineq) if j != i and j not in implicit]
+            p = linprog.feasible_point(self.n, eqs, others, [(a, b)])
+            if p is None:
                 implicit.add(i)
             else:
-                w = [(x + y) / 2 for x, y in zip(w, res.x)]
-        self._cache["relint"] = (implicit, tuple(w))
+                points.append(p)
+        mean = tuple(sum(col) / len(points) for col in zip(*points))
+        self._cache["relint"] = (implicit, mean)
         return self._cache["relint"]
 
     def relative_interior_point(self):
@@ -302,36 +292,14 @@ class HPolyhedron:
         return linalg.nullspace(normals, self.n)
 
     def is_bounded(self) -> bool:
-        if "bounded" in self._cache:
-            return self._cache["bounded"]
-        if self.is_empty():
-            self._cache["bounded"] = True
-            return True
-        if linalg.rank([a for a, _ in self.eq + self.ineq]) < self.n:
-            self._cache["bounded"] = False
-            return False
-        # Recession cone {v : eq.v = 0, ineq.v >= 0}, written as {B y >= 0}
-        # in coordinates y of an integer basis of the equalities' kernel.
-        # Scaling a row of B by a positive factor keeps the cone, so B is
-        # kept as distinct primitive rows.  Without lineality B has full
-        # column rank, so any y != 0 in the cone has sum(B) . y > 0.
-        eq_rows, pivots = linalg.reduced_echelon((*a, 0) for a, _ in self.eq)
-        _, _, kernel = linalg.solution_and_kernel(eq_rows, pivots, self.n)
-        rows = set()
-        for a, _ in self.ineq:
-            row = [linalg.dot(a, u) for u in kernel]
-            if any(row):
-                rows.add(linalg.primitive(row))
-        if len(kernel) <= 1:
-            # a point, or a line cut from both sides
-            self._cache["bounded"] = len(rows) == 2 * len(kernel)
-            return self._cache["bounded"]
-        total = [sum(col) for col in zip(*rows)]
-        ineqs = [(list(r), 0) for r in rows] + [([-v for v in total], -1)]
-        res = solve_lp(len(kernel), [], ineqs, total, maximize=True)
-        if res.status is not LPStatus.OPTIMAL:
-            raise InvariantError("HPolyhedron.is_bounded", f"recession-cone LP {res.status.value}")
-        self._cache["bounded"] = res.value == 0
+        """Empty, or a recession cone {v : eq.v = 0, ineq.v >= 0} with no v
+        that has +-v_i > 0 for a coordinate i."""
+        if "bounded" not in self._cache:
+            cone = [(a, 0) for a, _ in self.eq], [(a, 0) for a, _ in self.ineq]
+            units = [tuple(s * (j == i) for j in range(self.n)) for i in range(self.n) for s in (1, -1)]
+            self._cache["bounded"] = self.is_empty() or all(
+                linprog.feasible_point(self.n, *cone, [(u, 0)]) is None for u in units
+            )
         return self._cache["bounded"]
 
     def intersect(self, other: "HPolyhedron") -> "HPolyhedron":
@@ -350,15 +318,13 @@ class HPolyhedron:
             self._cache["canon"] = form
             return form
         form = canonical_form(self.n, self.affine_hull_rows(), self.ineq)
-        # strip redundant inequalities, one LP each
-        eqs = [(list(a), b) for a, b in form.eqs]
+        # strip each inequality that the others imply: none of their points violates it
         kept = list(form.ineqs)
         i = 0
         while i < len(kept):
             a, b = kept[i]
-            others = [(list(c), d) for j, (c, d) in enumerate(kept) if j != i]
-            res = solve_lp(self.n, eqs, others, list(a), maximize=False)
-            if res.status is LPStatus.OPTIMAL and res.value >= b:
+            others = kept[:i] + kept[i + 1 :]
+            if linprog.feasible_point(self.n, form.eqs, others, [(tuple(-x for x in a), -b)]) is None:
                 del kept[i]
             else:
                 i += 1

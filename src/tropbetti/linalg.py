@@ -31,6 +31,13 @@ from math import gcd, lcm
 Vec = tuple[Fraction, ...]
 
 
+class InvariantError(RuntimeError):
+    """An internal invariant broke: a defect in the program, not bad input."""
+
+    def __init__(self, stage: str, invariant: str):
+        super().__init__(f"{stage}: {invariant}")
+
+
 def fvec(v) -> Vec:
     return tuple(Fraction(x) for x in v)
 

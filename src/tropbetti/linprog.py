@@ -1,196 +1,103 @@
-"""Exact two-phase simplex over the rationals.
+"""Exact feasibility of linear systems by Fourier–Motzkin elimination.
 
-Variables are free; constraints are equalities a.x == b and inequalities
-a.x >= b.  Bland's rule throughout, so termination is guaranteed.  Its
-callers are ``check --oracle``'s sign-vector brute force and the
-``HPolyhedron`` predicates, of which ``realize`` uses the affine hull; face
-enumeration, the cells, the dual route and the Betti numbers solve no LP.
+``feasible_point`` decides whether rows a.x = b, a.x >= b and a.x > b
+have a common rational point, and returns one.  The equalities are solved
+first; the inequalities are rewritten in coordinates y of their solution
+set's kernel, and each strict row a.x > b becomes a.x - t >= b with one
+extra variable t <= 1 that must end positive (Schrijver, *Theory of
+Linear and Integer Programming*, 1986, §12.2).  The y are eliminated from
+last to first.  Each derived row keeps its history, the set of input rows
+it sums, and after s eliminations a row whose history has more than s + 1
+members is redundant and dropped (Chernikov's rule; Imbert, "Fourier's
+elimination: which to choose?", 1993).  Rows are kept once per (row,
+history): two equal rows with different histories are both kept.  The
+point is read back with the largest allowed t and each y at the midpoint
+of its bounds (one past a lone bound, 0 with none), and is checked
+against every input row.
+
+Its callers are ``check --oracle``'s sign-vector brute force and the
+``HPolyhedron`` predicates, of which ``realize`` uses the affine hull;
+face enumeration, the cells, the dual route and the Betti numbers decide
+no feasibility.  The work grows exponentially with the dimension, and
+every such system here has at most a few coordinates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
+import operator
 from fractions import Fraction
 
+from . import linalg
+from .linalg import InvariantError
 
-class LPStatus(Enum):
-    OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
-
-
-@dataclass(frozen=True)
-class LPResult:
-    status: LPStatus
-    x: tuple[Fraction, ...] | None = None
-    value: Fraction | None = None
+_HOLDS = (("=", operator.eq), (">=", operator.ge), (">", operator.gt))
 
 
-def _pivot(rows, rhs, obj, obj_rhs, basis, r, c):
-    inv = 1 / rows[r][c]
-    rows[r] = [v * inv for v in rows[r]]
-    rhs[r] *= inv
-    for i in range(len(rows)):
-        if i != r and rows[i][c] != 0:
-            f = rows[i][c]
-            rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
-            rhs[i] -= f * rhs[r]
-    if obj[c] != 0:
-        f = obj[c]
-        for j in range(len(obj)):
-            obj[j] -= f * rows[r][j]
-        obj_rhs[0] -= f * rhs[r]
-    basis[r] = c
+def feasible_point(n, eqs=(), ineqs=(), stricts=()):
+    """A point x in Q^n with a.x = b on ``eqs``, a.x >= b on ``ineqs`` and
+    a.x > b on ``stricts``, rows (a, b), or None when there is none."""
+    x = _solve(n, eqs, ineqs, stricts)
+    if x is not None:
+        for rows, (op, holds) in zip((eqs, ineqs, stricts), _HOLDS):
+            for a, b in rows:
+                if not holds(linalg.dot(a, x), b):
+                    point = ", ".join(map(str, x))
+                    raise InvariantError("feasible_point", f"({point}) breaks the row {tuple(a)} . x {op} {b}")
+    return x
 
 
-def _run_simplex(rows, rhs, obj, obj_rhs, basis):
-    """Minimize; returns True if optimal, False if unbounded."""
-    while True:
-        enter = next((j for j, v in enumerate(obj) if v < 0), None)
-        if enter is None:
-            return True
-        best = None
-        for i in range(len(rows)):
-            a = rows[i][enter]
-            if a > 0:
-                ratio = rhs[i] / a
-                if best is None or ratio < best[0] or (ratio == best[0] and basis[i] < basis[best[1]]):
-                    best = (ratio, i)
-        if best is None:
-            return False
-        _pivot(rows, rhs, obj, obj_rhs, basis, best[1], enter)
-
-
-def solve_lp(n, eqs, ineqs, objective=None, maximize=False) -> LPResult:
-    """Solve min/max of objective.x over {eqs hold, a.x >= b for ineqs}.
-
-    With objective None, reports feasibility (value 0 at a witness).
-    """
-    eq_rows = []
-    for a, b in eqs:
-        a = [Fraction(v) for v in a]
-        b = Fraction(b)
-        if all(v == 0 for v in a):
-            if b != 0:
-                return LPResult(LPStatus.INFEASIBLE)
-            continue
-        eq_rows.append((a, b, True))
-    for a, b in ineqs:
-        a = [Fraction(v) for v in a]
-        b = Fraction(b)
-        if all(v == 0 for v in a):
-            if b > 0:
-                return LPResult(LPStatus.INFEASIBLE)
-            continue
-        eq_rows.append((a, b, False))
-
-    nslack = sum(1 for _, _, is_eq in eq_rows if not is_eq)
-    nstruct = 2 * n + nslack
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    art_of_row: list[bool] = []
-    basis: list[int] = []
-    si = 0
-    for a, b, is_eq in eq_rows:
-        row = [Fraction(0)] * nstruct
-        for j, v in enumerate(a):
-            row[j] = v
-            row[n + j] = -v
-        if not is_eq:
-            row[2 * n + si] = Fraction(-1)
-            si += 1
-        if b < 0:
-            row = [-v for v in row]
-            b = -b
-        rows.append(row)
-        rhs.append(b)
-        # slack column usable as initial basis iff its coefficient is +1
-        slack_col = 2 * n + si - 1 if not is_eq else None
-        if slack_col is not None and rows[-1][slack_col] == 1:
-            basis.append(slack_col)
-            art_of_row.append(False)
-        else:
-            basis.append(-1)  # placeholder, artificial added below
-            art_of_row.append(True)
-
-    nart = sum(art_of_row)
-    if nart:
-        col = nstruct
-        for i, need in enumerate(art_of_row):
-            if need:
-                for r2 in rows:
-                    r2.append(Fraction(0))
-                rows[i][col] = Fraction(1)
-                basis[i] = col
-                col += 1
-        # phase I: minimize sum of artificials
-        obj = [Fraction(0)] * (nstruct + nart)
-        for j in range(nstruct, nstruct + nart):
-            obj[j] = Fraction(1)
-        obj_rhs = [Fraction(0)]
-        for i, b in enumerate(basis):
-            if b >= nstruct:
-                for j in range(len(obj)):
-                    obj[j] -= rows[i][j]
-                obj_rhs[0] -= rhs[i]
-        _run_simplex(rows, rhs, obj, obj_rhs, basis)
-        if -obj_rhs[0] != 0:
-            return LPResult(LPStatus.INFEASIBLE)
-        # drive artificials out of the basis
-        drop = []
-        for i in range(len(rows)):
-            if basis[i] >= nstruct:
-                c = next((j for j in range(nstruct) if rows[i][j] != 0), None)
-                if c is None:
-                    drop.append(i)
-                else:
-                    _pivot(rows, rhs, obj, obj_rhs, basis, i, c)
-        for i in sorted(drop, reverse=True):
-            del rows[i], rhs[i], basis[i]
-        rows = [r2[:nstruct] for r2 in rows]
-
-    # phase II
-    c = [Fraction(0)] * nstruct
-    if objective is not None:
-        sign = -1 if maximize else 1
-        for j, v in enumerate(objective):
-            v = Fraction(v) * sign
-            c[j] = v
-            c[n + j] = -v
-    obj = list(c)
-    obj_rhs = [Fraction(0)]
-    for i, b in enumerate(basis):
-        if c[b] != 0:
-            f = c[b]
-            for j in range(nstruct):
-                obj[j] -= f * rows[i][j]
-            obj_rhs[0] -= f * rhs[i]
-    ok = _run_simplex(rows, rhs, obj, obj_rhs, basis)
-    if not ok:
-        return LPResult(LPStatus.UNBOUNDED)
-    xs = [Fraction(0)] * nstruct
-    for i, b in enumerate(basis):
-        xs[b] = rhs[i]
-    x = tuple(xs[j] - xs[n + j] for j in range(n))
-    value = -obj_rhs[0]
-    if maximize:
-        value = -value
-    return LPResult(LPStatus.OPTIMAL, x, value)
-
-
-def relint_witness(n, eqs, stricts):
-    """Witness of {eqs hold, a.x > b for all stricts}, or None.
-
-    Maximizes the common slack t, capped at 1, of the strict inequalities;
-    a positive optimum certifies relative-interior nonemptiness exactly.
-    """
-    eqs_t = [(list(a) + [0], b) for a, b in eqs]
-    ineqs_t = [(list(a) + [-1], b) for a, b in stricts]
-    ineqs_t.append(([0] * n + [1], 0))
-    ineqs_t.append(([0] * n + [-1], -1))
-    objective = [0] * n + [1]
-    res = solve_lp(n + 1, eqs_t, ineqs_t, objective, maximize=True)
-    if res.status is not LPStatus.OPTIMAL or res.value <= 0:
+def _solve(n, eqs, ineqs, stricts):
+    red, pivots = linalg.reduced_echelon(linalg.integral_rows([(*a, b) for a, b in eqs]))
+    if n in pivots:
         return None
-    return res.x[:n]
+    base, denom, dirs = linalg.solution_and_kernel(red, pivots, n)
+    m = len(dirs)
+    # x = base / denom + sum_j y_j dirs[j]; over z = (t, y_1, ..., y_m) a
+    # row (c, d) reads c.z >= d, and the strict row 0 > -1 caps t at 1
+    rows = set()
+    for k, (t, (a, b)) in enumerate([(0, r) for r in ineqs] + [(-1, r) for r in (*stricts, ((0,) * n, -1))]):
+        c = [linalg.dot(a, u) for u in dirs] + [b - Fraction(linalg.dot(a, base), denom)]
+        if not _keep((t, *linalg.integral_rows([c])[0]), 1 << k, rows):
+            return None
+    stages = []
+    for j in range(m, 0, -1):
+        pos = [(r, h) for r, h in rows if r[j] > 0]
+        neg = [(r, h) for r, h in rows if r[j] < 0]
+        rows = {(r, h) for r, h in rows if r[j] == 0}
+        stages.append((j, pos, neg))
+        for p, hp in pos:
+            for q, hq in neg:
+                h = hp | hq
+                if h.bit_count() <= m - j + 2:
+                    c = [-q[j] * x + p[j] * y for x, y in zip(p, q)]
+                    if not _keep(c, h, rows):
+                        return None
+    t = min(Fraction(r[-1], r[0]) for r, _ in rows)
+    if t <= 0:
+        return None
+    z = [t] + [Fraction(0)] * m
+    for j, pos, neg in reversed(stages):
+        lo = max((_bound(r, j, z) for r, _ in pos), default=None)
+        hi = min((_bound(r, j, z) for r, _ in neg), default=None)
+        if lo is not None and hi is not None:
+            z[j] = (lo + hi) / 2
+        elif lo is not None:
+            z[j] = lo + 1
+        elif hi is not None:
+            z[j] = hi - 1
+    return tuple(Fraction(x, denom) + sum(z[j + 1] * u[i] for j, u in enumerate(dirs)) for i, x in enumerate(base))
+
+
+def _keep(row, history, rows) -> bool:
+    """Add the row c.z >= d to ``rows`` unless it has no variable left;
+    False when such a row, 0 >= d, fails."""
+    if not any(row[:-1]):
+        return row[-1] <= 0
+    rows.add((linalg.primitive(row), history))
+    return True
+
+
+def _bound(row, j, z) -> Fraction:
+    """The bound on z_j that a row c.z >= d with c_j != 0 and no entry past
+    j sets, given z_0, ..., z_(j-1)."""
+    return (row[-1] - sum(c * x for c, x in zip(row[:j], z))) / row[j]

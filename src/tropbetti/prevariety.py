@@ -15,15 +15,15 @@ positive for a pair with equal exponents.
 Route 2 (dual subdivision): the lower faces of Q_1 + ... + Q_k, the sum of
 the lifted point sets {(a_j, b_j)}, with their decomposition
 F = F_1 + ... + F_k, from the integer lower hull (``TropSystem.lifted_hull``);
-no arrangement and no LP.  Each lower face comes with a witness x at which
-(x, 1) selects it, so its pattern is the argmin pattern at x.  Tropical
-faces (a tie in every polynomial) dualize to the closed cells G(F) of the
-prevariety, with dim F + dim G(F) = n; ``dual_cell`` checks by exact
-evaluation that the witness has exactly F's pattern.
+no arrangement and no feasibility question.  Each lower face comes with a
+witness x at which (x, 1) selects it, so its pattern is the argmin pattern
+at x.  Tropical faces (a tie in every polynomial) dualize to the closed
+cells G(F) of the prevariety, with dim F + dim G(F) = n; ``dual_cell``
+checks by exact evaluation that the witness has exactly F's pattern.
 
 The faces of the closure of U_B are the cells whose pattern contains B;
 lineality, the retract and each cell's canonical H-representation are read
-from that face poset, with no H-polyhedron and no LP.
+from that face poset, with no H-polyhedron and no feasibility question.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ from functools import cached_property
 
 from . import arrangement, linalg
 from .arrangement import ArrFace, Arrangement
-from .exactgeom import CanonicalHRep, InvariantError, canonical_form, lower_faces
+from .exactgeom import CanonicalHRep, canonical_form, lower_faces
+from .linalg import InvariantError
 from .tropical import TropSystem, eval_poly
 
 
@@ -146,7 +147,8 @@ class PrevarietyComplex:
         return f"PrevarietyComplex(cells={len(self.cells)})"
 
     def hrep(self, i: int) -> CanonicalHRep:
-        """Canonical H-representation of the closure of cell i, with no LP.
+        """Canonical H-representation of the closure of cell i, with no
+        feasibility question.
 
         With j0 = min B.row(p) for each polynomial p, the closure is the set
         where m_j = m_j0 for j in B.row(p) and m_q >= m_j0 otherwise.  At the

@@ -35,9 +35,7 @@ class ComplexDescription:
 def _affine_poly(n: int, row) -> TropPoly:
     """min{a.x - b, 0} for an (a, b) constraint row."""
     a, b = row
-    return make_coeffs_nonneg(
-        TropPoly([LinForm.make(a, -Fraction(b)), LinForm.make([0] * n, 0)], laurent=True)
-    )
+    return make_coeffs_nonneg(TropPoly([LinForm.make(a, -Fraction(b)), LinForm.make([0] * n, 0)]))
 
 
 def halfspace_prevariety(n: int, equations, inequality=None) -> TropSystem:
@@ -58,7 +56,7 @@ def halfspace_prevariety(n: int, equations, inequality=None) -> TropSystem:
             LinForm.make(a1, -b1),
             LinForm.make(ai, -Fraction(bi)),
         ]
-        polys.append(make_coeffs_nonneg(TropPoly(mons, laurent=True)))
+        polys.append(make_coeffs_nonneg(TropPoly(mons)))
     return TropSystem(n, polys)
 
 

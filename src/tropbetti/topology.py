@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .exactgeom import InvariantError
+from .linalg import InvariantError
 from .prevariety import PrevarietyComplex
 
 

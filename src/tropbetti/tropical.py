@@ -1,9 +1,9 @@
 """Min-plus tropical polynomials over exact rational constants.
 
 A tropical polynomial is min{L_1, ..., L_m} of affine forms with integer
-variable coefficients (nonnegative unless the Laurent flag is set) and
-rational constant terms.  Zeros are the points where the minimum is
-attained at least twice.
+variable coefficients and rational constant terms, a Laurent polynomial
+when a coefficient is negative.  Zeros are the points where the minimum
+is attained at least twice.
 """
 
 from __future__ import annotations
@@ -43,18 +43,16 @@ class LinForm:
 class TropPoly:
     """min of a deduplicated, canonically ordered list of monomials."""
 
-    def __init__(self, monomials, laurent: bool = False):
+    def __init__(self, monomials):
         mons = sorted(set(m if isinstance(m, LinForm) else LinForm.make(*m) for m in monomials))
         if not mons:
             raise ValueError("a tropical polynomial needs at least one monomial")
         n = len(mons[0].a)
         if any(len(m.a) != n for m in mons):
             raise DimensionMismatch("monomials of mixed arity")
-        if not laurent and any(c < 0 for m in mons for c in m.a):
-            raise LaurentError("negative coefficient without the laurent flag")
         self.monomials = tuple(mons)
         self.n = n
-        self.laurent = laurent
+        self.laurent = any(c < 0 for m in mons for c in m.a)
 
     def __eq__(self, other):
         return isinstance(other, TropPoly) and self.monomials == other.monomials
@@ -125,7 +123,7 @@ def eval_poly(f: TropPoly, x) -> tuple[Fraction, frozenset[int]]:
 
 
 def degree(f: TropPoly) -> int:
-    if any(c < 0 for mon in f.monomials for c in mon.a):
+    if f.laurent:
         raise LaurentError("degree undefined for Laurent polynomials")
     return max(mon.degree for mon in f.monomials)
 
@@ -145,7 +143,7 @@ def trop_mul(f: TropPoly, g: TropPoly) -> TropPoly:
             a, b = linalg.vadd(mf.a, mg.a), mf.b + mg.b
             if a not in best or b < best[a]:
                 best[a] = b
-    return TropPoly([LinForm(a, b) for a, b in best.items()], laurent=f.laurent or g.laurent)
+    return TropPoly([LinForm(a, b) for a, b in best.items()])
 
 
 def make_coeffs_nonneg(f: TropPoly) -> TropPoly:
@@ -155,6 +153,5 @@ def make_coeffs_nonneg(f: TropPoly) -> TropPoly:
     """
     shift = tuple(max(0, -min(mon.a[i] for mon in f.monomials)) for i in range(f.n))
     if all(s == 0 for s in shift):
-        return TropPoly(f.monomials, laurent=False)
-    mons = [LinForm.make(linalg.vadd(mon.a, shift), mon.b) for mon in f.monomials]
-    return TropPoly(mons, laurent=False)
+        return f
+    return TropPoly([LinForm.make(linalg.vadd(mon.a, shift), mon.b) for mon in f.monomials])

@@ -3,9 +3,13 @@
 Each oracle deliberately avoids the code path it is used to check:
 
 - ``sign_vectors_bruteforce`` (kept in ``tropbetti.cli``, as ``check
-  --oracle`` runs it) decides all 3^ell candidate sign vectors with the
-  exact LP; the face enumeration under test uses no LP at all (the LP
-  itself is validated separately in test_linprog).
+  --oracle`` runs it) decides all 3^ell candidate sign vectors by
+  Fourier–Motzkin elimination (``linprog.feasible_point``); the face
+  enumeration under test steps between faces and decides no feasibility
+  (``feasible_point`` itself is judged by the simplex of ``simplex.py`` in
+  test_linprog).
+- The LP oracles below run the exact two-phase simplex of ``simplex.py``,
+  which shares no code with ``feasible_point``.
 - ``rational_rank`` delegates to sympy's rank over QQ, independent of the
   package's elimination code.
 - ``convex_hull_2d`` / ``polygon_area`` are a monotone-chain hull and
@@ -33,8 +37,8 @@ Each oracle deliberately avoids the code path it is used to check:
 - ``univariate_zeros`` finds breakpoints of a univariate min-envelope from
   pairwise tie candidates.
 - ``is_bounded_lp`` decides boundedness with one LP over the full
-  recession cone; ``HPolyhedron.is_bounded`` first reduces the cone to the
-  equalities' kernel and distinct rows, and needs no LP up to dimension 1.
+  recession cone; ``HPolyhedron.is_bounded`` asks ``feasible_point``, for
+  each signed unit vector u, for a cone vector v with u.v > 0.
 - ``pattern_at`` evaluates every monomial at a point with ``eval_poly``;
   the cells read zero patterns from sign vectors instead, and the dual
   route from the lower hull's facets.
@@ -46,7 +50,8 @@ Each oracle deliberately avoids the code path it is used to check:
   exponent; ``trop_mul`` merges the products of one exponent as it forms
   them.
 - ``pattern_closure`` writes a cell's closure with a row per tie and per
-  other monomial, so ``HPolyhedron.canonical`` strips redundant rows by LP;
+  other monomial, so ``HPolyhedron.canonical`` strips redundant rows, one
+  ``feasible_point`` call each;
   ``PrevarietyComplex.hrep`` reads one row per facet from the face poset.
 - ``sliced_closures`` cuts each cell's closure with the orthogonal
   complement of the component's lineality space, found as a nullspace of
@@ -60,7 +65,8 @@ Each oracle deliberately avoids the code path it is used to check:
   nerve of its members: by the nerve theorem a finite union of closed
   convex sets is homotopy equivalent to the nerve of the cover, whose
   simplices are the member sets with a nonempty common intersection,
-  decided by LP (``HPolyhedron.intersect`` and ``is_empty``).  It uses
+  decided by ``feasible_point`` (``HPolyhedron.intersect`` and
+  ``is_empty``).  It uses
   neither the realization, the tie arrangement, the dual route nor the
   face poset.
 - ``sign_vector`` evaluates every rational hyperplane at a point
@@ -82,10 +88,11 @@ from tropbetti import exactgeom, linalg
 from tropbetti.arrangement import enumerate_faces
 from tropbetti.cli import sign_vectors_bruteforce  # the one copy; re-exported here
 from tropbetti.exactgeom import DimensionMismatch, HPolyhedron, RadVal, VPolytope, newton_volume
-from tropbetti.linprog import LPStatus, solve_lp
 from tropbetti.prevariety import DualFace, TiePattern
 from tropbetti.topology import BettiVector, SimplicialComplex, betti
 from tropbetti.tropical import LinForm, TropPoly, eval_poly
+
+from simplex import LPStatus, solve_lp
 
 
 def rational_rank(rows) -> int:
@@ -320,8 +327,7 @@ def pattern_at(s, x) -> TiePattern:
 def formal_product(f: TropPoly, g: TropPoly) -> TropPoly:
     """Every product of a monomial of f with one of g, none merged."""
     return TropPoly(
-        [LinForm.make(linalg.vadd(mf.a, mg.a), mf.b + mg.b) for mf in f.monomials for mg in g.monomials],
-        laurent=f.laurent or g.laurent,
+        [LinForm.make(linalg.vadd(mf.a, mg.a), mf.b + mg.b) for mf in f.monomials for mg in g.monomials]
     )
 
 
@@ -336,7 +342,7 @@ def drop_dominated(f: TropPoly) -> TropPoly:
         cur = best.get(mon.a)
         if cur is None or mon.b < cur.b:
             best[mon.a] = mon
-    return TropPoly(best.values(), laurent=f.laurent)
+    return TropPoly(best.values())
 
 
 def dual_patterns_by_faces(s) -> list[DualFace]:
@@ -378,8 +384,9 @@ def pattern_closure(s, b: TiePattern) -> HPolyhedron:
     """{x : ties of B hold with equality and weakly below all other monomials}.
 
     Every tie and every other monomial gives a row; its canonical form needs
-    one LP per inequality.  ``PrevarietyComplex.hrep`` reads the same form
-    from the face poset, one inequality per facet, with no LP.
+    one feasibility question per inequality.  ``PrevarietyComplex.hrep``
+    reads the same form from the face poset, one inequality per facet, and
+    decides none.
     """
     eqs, ineqs = [], []
     for i, f in enumerate(s.polys):

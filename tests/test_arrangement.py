@@ -123,6 +123,16 @@ def test_oracle_equivalence_seeded():
         checked += 1
 
 
+def test_faces_match_bruteforce_for_ell_7_and_8():
+    """The exhaustive judge past the ell <= 6 of ``check --oracle``: every
+    corpus arrangement with 7 or 8 hyperplanes, 3^ell sign vectors each."""
+    corpus = system_corpus(face_digests.CORPUS_SEED, face_digests.CORPUS_COUNT)
+    arrangements = [s.arrangement for s in corpus if s.arrangement.ell in (7, 8)]
+    assert len(arrangements) == 19
+    for arr in arrangements:
+        assert {f.signs for f in enumerate_faces(arr)} == sign_vectors_bruteforce(arr).keys()
+
+
 def test_face_count_bound():
     # the n 2^n C(ell, n) bound covers the faces on the hyperplane union
     # (sign vectors with a zero); regions can push the total count past it

@@ -16,8 +16,8 @@ from oracles import dense_volume_bound, minkowski_sum, newton_polytope
 from strategies import small_systems
 
 
-def poly(*mons, laurent=False):
-    return TropPoly([LinForm.make(a, b) for a, b in mons], laurent=laurent)
+def poly(*mons):
+    return TropPoly([LinForm.make(a, b) for a, b in mons])
 
 
 LINE = TropSystem(2, [poly(((0, 0), 0), ((0, 1), 0), ((1, 0), 0))])
@@ -52,7 +52,7 @@ def test_dense_volumes_pinned_on_corpus():
 @example(  # Laurent exponents
     TropSystem(
         2,
-        [poly(((-1, 0), 0), ((0, 2), 1), ((1, -1), 0), laurent=True), poly(((0, -2), 0), ((1, 1), 0), laurent=True)],
+        [poly(((-1, 0), 0), ((0, 2), 1), ((1, -1), 0)), poly(((0, -2), 0), ((1, 1), 0))],
     )
 )
 @settings(deadline=None, max_examples=150)
@@ -79,7 +79,7 @@ def test_degree_bound_examples():
     assert degree_bound(gen_grid_example(2, 2)) == 112
     assert degree_bound(TropSystem(1, [poly(((3,), 0), ((0,), 0))])) == 9
     with pytest.raises(LaurentError):
-        degree_bound(TropSystem(1, [poly(((-1,), 0), laurent=True)]))
+        degree_bound(TropSystem(1, [poly(((-1,), 0))]))
 
 
 def test_sparse_bound_examples():
@@ -120,7 +120,7 @@ def test_verify_bounds_empty_prevariety():
 
 
 def test_verify_bounds_laurent_degree_skipped():
-    s = TropSystem(1, [poly(((-1,), 0), ((0,), 0), laurent=True)])
+    s = TropSystem(1, [poly(((-1,), 0), ((0,), 0))])
     r = verify_bounds(s)
     assert r.d is None and r.degree_bound is None and r.betti_le_degree is None
     assert r.all_ok
@@ -140,10 +140,7 @@ def test_dense_bound_invariances():
     permuted = TropSystem(2, list(reversed(CROSS.polys)))
     assert dense_volume_bound(s) == dense_volume_bound(permuted)
     # Laurent shift: translating one Newton polytope by an integer vector
-    shifted_poly = TropPoly(
-        [LinForm.make((m.a[0] - 1, m.a[1]), m.b) for m in CROSS.polys[0].monomials],
-        laurent=True,
-    )
+    shifted_poly = TropPoly([LinForm.make((m.a[0] - 1, m.a[1]), m.b) for m in CROSS.polys[0].monomials])
     shifted = TropSystem(2, [shifted_poly, CROSS.polys[1]])
     assert dense_volume_bound(shifted) == dense_volume_bound(CROSS)
 

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,8 +19,7 @@ from tropbetti.cli import (
 )
 from tropbetti import arrangement, cli, exactgeom, linprog, topology
 from tropbetti.corpus import complex_corpus, random_system, system_corpus
-from tropbetti.exactgeom import InvariantError
-from tropbetti.linprog import LPResult, LPStatus
+from tropbetti.linalg import InvariantError
 from tropbetti.prevariety import DualFace, cells_via_arrangement, dual_subdivision
 from tropbetti.realize import complex_prevariety, gen_grid_example
 from tropbetti.topology import betti_of_complex
@@ -113,8 +113,12 @@ def test_parse_serialize_roundtrip_seeded():
 
 
 def test_parse_serialize_roundtrip_laurent():
-    s = TropSystem(1, [TropPoly([LinForm.make((-2,), 1), LinForm.make((0,), 0)], laurent=True)])
+    s = TropSystem(1, [TropPoly([LinForm.make((-2,), 1), LinForm.make((0,), 0)])])
+    assert serialize_system(s)["laurent"] is True
     assert parse_system(json.dumps(serialize_system(s)).encode()) == s
+    # the field follows the exponents, not the input's flag
+    flagged = parse_system(b'{"n":1,"laurent":true,"polys":[[[[2],"0"],[[0],"0"]]]}')
+    assert "laurent" not in serialize_system(flagged)
 
 
 def test_parse_complex():
@@ -268,19 +272,14 @@ def test_check_places_the_newton_sum_once(monkeypatch):
 
 
 def test_invariant_error_exits_2(capsys, monkeypatch, tmp_path):
-    real = exactgeom.solve_lp
-
-    def failing_max(*args, maximize=False, **kwargs):
-        if maximize:
-            return LPResult(LPStatus.UNBOUNDED)
-        return real(*args, maximize=maximize, **kwargs)
-
-    monkeypatch.setattr(exactgeom, "solve_lp", failing_max)
+    """A feasible point that breaks one of its rows is caught by the
+    point's own check, and realize exits 2."""
+    monkeypatch.setattr(linprog, "_solve", lambda n, eqs, ineqs, stricts: (Fraction(2),) * n)
     path = tmp_path / "segment.json"
     path.write_text('{"n":2,"polyhedra":[{"eq":[[[0,1],"0"]],"ineq":[[[1,0],"0"],[[-1,0],"-1"]]}]}')
     code, out, err = run(capsys, ["realize", str(path)])
     assert code == 2 and out == ""
-    assert "InvariantError: HPolyhedron.relative_interior_point" in err
+    assert "InvariantError: feasible_point: (2, 2) breaks the row (0, 1) . x = 0" in err
 
 
 def test_check_output_same_under_python_O(tmp_path):
@@ -392,8 +391,8 @@ def test_check_and_betti_build_no_polyhedron(monkeypatch):
         raise AssertionError("built an H-polyhedron or solved an LP")
 
     monkeypatch.setattr(exactgeom.HPolyhedron, "__init__", refuse)
-    monkeypatch.setattr(exactgeom, "solve_lp", refuse)
-    monkeypatch.setattr(linprog, "solve_lp", refuse)
+    monkeypatch.setattr(linprog, "feasible_point", refuse)
+    monkeypatch.setattr(cli, "feasible_point", refuse)
     for s in systems:
         assert check_system(s)["all_ok"]
     assert betti_of_complex(cells_via_arrangement(circle)).b == (1, 1)

@@ -1,6 +1,8 @@
 import ast
 import math
 import operator
+import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from tropbetti import exactgeom
+from tropbetti import exactgeom, linalg
 from tropbetti.exactgeom import (
     EmptyPolyhedronError,
     HPolyhedron,
@@ -30,6 +32,8 @@ from oracles import (
     simplex_volume_sq,
 )
 from tropbetti.realize import gen_grid_example
+
+from simplex import LPStatus, solve_lp
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -121,6 +125,48 @@ def test_affine_dim_examples():
     assert HPolyhedron(2, [((1, 0), 0)], []).affine_dim() == 1
     assert HPolyhedron(1, [], [((1,), 1), ((-1,), 0)]).affine_dim() == -1
     assert HPolyhedron(3, [], []).affine_dim() == 3
+
+
+def _seeded_member(seed: int, n: int, count: int) -> HPolyhedron:
+    """count rows through a random anchor: one equality, two equalities
+    written as pairs of opposite inequalities, and inequalities with a
+    slack of 0 to 3 there."""
+    rng = random.Random(seed)
+    anchor = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+
+    def normal():
+        a = [0] * n
+        while not any(a):
+            a = [rng.randint(-2, 2) for _ in range(n)]
+        return a
+
+    eqs = [(a, linalg.dot(a, anchor)) for a in [normal()]]
+    ineqs = []
+    for a in (normal(), normal()):
+        ineqs += [(a, linalg.dot(a, anchor)), ([-x for x in a], -linalg.dot(a, anchor))]
+    while len(eqs) + len(ineqs) < count:
+        a = normal()
+        ineqs.append((a, linalg.dot(a, anchor) - rng.randint(0, 3)))
+    return HPolyhedron(n, eqs, ineqs)
+
+
+def test_affine_hull_of_a_4d_member_with_20_rows():
+    """Fourier–Motzkin grows exponentially with the dimension; a realize
+    member in 4 dimensions with 20 rows takes well under a second, and its
+    implicit equalities are the rows whose maximum, by the simplex, is
+    their right-hand side."""
+    p = _seeded_member(0, 4, 20)
+    start = time.perf_counter()
+    hull = p.affine_hull_rows()
+    elapsed = time.perf_counter() - start
+    implicit = []
+    for a, b in p.ineq:
+        res = solve_lp(p.n, p.eq, p.ineq, a, maximize=True)
+        if res.status is LPStatus.OPTIMAL and res.value == b:
+            implicit.append((a, b))
+    assert len(p.eq) + len(p.ineq) == 20 and len(implicit) >= 4
+    assert hull == list(p.eq) + implicit
+    assert elapsed < 5.0
 
 
 # ------------------------------------------------------------------- hulls

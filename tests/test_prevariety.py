@@ -310,7 +310,7 @@ def test_closure_lattice_intersection_property():
 
 # a Laurent polynomial: a point and three rays
 LAURENT = TropSystem(
-    2, [TropPoly([LinForm.make((-1, 0), 0), LinForm.make((0, 1), 1), LinForm.make((1, -1), -2)], laurent=True)]
+    2, [TropPoly([LinForm.make((-1, 0), 0), LinForm.make((0, 1), 1), LinForm.make((1, -1), -2)])]
 )
 # rational constants: a bounded edge with rational ends
 RATIONAL = TropSystem(
@@ -370,11 +370,8 @@ def test_pattern_reader_examples():
     laurent = TropSystem(
         2,
         [
-            TropPoly(
-                [LinForm.make((-1, 0), 0), LinForm.make((0, -2), 1), LinForm.make((1, 1), Fraction(-1, 2))],
-                laurent=True,
-            ),
-            TropPoly([LinForm.make((0, 0), 0), LinForm.make((-1, 1), 3)], laurent=True),
+            TropPoly([LinForm.make((-1, 0), 0), LinForm.make((0, -2), 1), LinForm.make((1, 1), Fraction(-1, 2))]),
+            TropPoly([LinForm.make((0, 0), 0), LinForm.make((-1, 1), 3)]),
         ],
     )
     # five of the six pairs tie; x and x + 1 never do

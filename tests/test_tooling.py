@@ -6,6 +6,8 @@ import importlib.util
 import tempfile
 from pathlib import Path
 
+from tropbetti import cli
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -34,6 +36,18 @@ def test_run_corpus_check_checks_only_the_corpus_it_wrote(tmp_path, capsys):
     checked = [line.split(":")[0] for line in lines if line.startswith("system_")]
     assert checked == ["system_000.json", "system_001.json"]
     assert lines[-1].startswith("checked 2 systems")
+
+
+def test_run_corpus_check_with_the_oracle(monkeypatch, capsys):
+    """--oracle decides every sign vector of each arrangement with ell <= 6."""
+    script = _load(ROOT / "scripts" / "run_corpus_check.py")
+    judged = []
+    bruteforce = cli.sign_vectors_bruteforce
+    monkeypatch.setattr(cli, "sign_vectors_bruteforce", lambda arr: judged.append(arr.ell) or bruteforce(arr))
+    assert script.run(["--count", "10", "--oracle"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1].startswith("checked 10 systems") and lines[-1].endswith(", 0 failures")
+    assert judged and max(judged) <= 6
 
 
 def test_time_realized_prints_each_members_figures(capsys):

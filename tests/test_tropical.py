@@ -21,8 +21,8 @@ from oracles import drop_dominated, formal_product, is_zero, minkowski_sum, newt
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
 
-def poly(*mons, laurent=False):
-    return TropPoly([LinForm.make(a, b) for a, b in mons], laurent=laurent)
+def poly(*mons):
+    return TropPoly([LinForm.make(a, b) for a, b in mons])
 
 
 def polys(n, laurent=False, max_m=4, coeff_bound=3):
@@ -31,7 +31,7 @@ def polys(n, laurent=False, max_m=4, coeff_bound=3):
         st.tuples(*[st.integers(min_value=lo, max_value=coeff_bound)] * n), rationals
     )
     return st.lists(mon, min_size=1, max_size=max_m, unique=True).map(
-        lambda ms: TropPoly([LinForm.make(a, b) for a, b in ms], laurent=laurent)
+        lambda ms: TropPoly([LinForm.make(a, b) for a, b in ms])
     )
 
 
@@ -63,7 +63,7 @@ def test_degree_examples():
     assert degree(poly(((0,), 0))) == 0
     assert degree(LINE) == 1
     with pytest.raises(LaurentError):
-        degree(poly(((-1,), 0), laurent=True))
+        degree(poly(((-1,), 0)))
 
 
 def test_is_zero_examples():
@@ -77,12 +77,6 @@ def test_duplicate_monomials_removed():
     f = TropPoly([LinForm.make((1,), 0), LinForm.make((1,), 0)])
     assert f.m == 1
     assert not is_zero(f, (7,))
-
-
-def test_laurent_flag_required():
-    with pytest.raises(LaurentError):
-        poly(((-1,), 0))
-    assert poly(((-1,), 0), laurent=True).laurent
 
 
 def test_newton_polytope_examples():
@@ -132,11 +126,11 @@ def test_trop_mul_newton_polytope_is_minkowski_sum(f, g):
 
 
 def test_make_coeffs_nonneg_examples():
-    f = poly(((-1,), 0), ((0,), 0), laurent=True)
+    f = poly(((-1,), 0), ((0,), 0))
     g = make_coeffs_nonneg(f)
     assert not g.laurent
     assert set((m.a, m.b) for m in g.monomials) == {((0,), 0), ((1,), 0)}
-    h = make_coeffs_nonneg(poly(((-1, 1), 0), ((-2, 0), 0), ((0, 0), 1), laurent=True))
+    h = make_coeffs_nonneg(poly(((-1, 1), 0), ((-2, 0), 0), ((0, 0), 1)))
     assert set((m.a, m.b) for m in h.monomials) == {((1, 1), 0), ((0, 0), 0), ((2, 0), 1)}
     assert make_coeffs_nonneg(LINE) == LINE
 
