@@ -23,7 +23,13 @@ covering flats are closed under descent.  There is one entry point:
 ``enumerate_faces(arr)`` walks every flat, as the sign-vector oracle needs;
 ``enumerate_faces(arr, keep)`` builds and walks only the covering ones, as
 the cells need, and steps off only the faces whose sign vectors ``keep``
-accepts.  A covering subflat F of a flat L that ties no monomials of a
+accepts.  Points, the bulk of the lattice, are judged before they are
+built: along a line the sign vector changes only where hyperplanes cross
+it, so one sweep over the crossings in their exact order gives every
+point's signs (the incremental construction of Edelsbrunner, O'Rourke and
+Seidel, SIAM J. Comput. 1986).  A point gets its hyperplane values and a
+record only if ``keep`` accepts its signs, and every point does without
+``keep``.  A covering subflat F of a flat L that ties no monomials of a
 polynomial p has a hyperplane h of p among its definers, which crosses L,
 so F lies in the subflat L & h: the lattice intersects a flat that is not
 covering only with the hyperplanes of one such p, the one with the fewest,
@@ -143,17 +149,22 @@ class Arrangement:
 def build_arrangement(system: TropSystem) -> Arrangement:
     # (normal, offset numerator, offset denominator) -> source pairs
     seen: dict[tuple[tuple[int, ...], int, int], list[tuple[int, int, int]]] = {}
-    # (monomial, monomial) -> its tie's key in ``seen``, or None if they never
-    # tie: polynomials of one system often share monomials
-    ties: dict = {}
+    # polynomials of one system often share monomials, so each distinct
+    # monomial (a, num, den) gets an id, and each pair of ids maps to its
+    # tie's source list in ``seen``, or to None if they never tie
+    ids: dict[tuple[tuple[int, ...], int, int], int] = {}
+    ties: dict[tuple[int, int], list[tuple[int, int, int]] | None] = {}
     for i, f in enumerate(system.polys):
         mons = [(m.a, m.b.numerator, m.b.denominator) for m in f.monomials]
-        for (j1, m1), (j2, m2) in itertools.combinations(enumerate(mons), 2):
-            if (m1, m2) not in ties:
-                ties[m1, m2] = _tie_key(m1, m2)
-            key = ties[m1, m2]
-            if key is not None:
-                seen.setdefault(key, []).append((i, j1, j2))
+        mids = [ids.setdefault(m, len(ids)) for m in mons]
+        for j1, j2 in itertools.combinations(range(len(mons)), 2):
+            pair = mids[j1], mids[j2]
+            if pair not in ties:
+                key = _tie_key(mons[j1], mons[j2])
+                ties[pair] = None if key is None else seen.setdefault(key, [])
+            srcs = ties[pair]
+            if srcs is not None:
+                srcs.append((i, j1, j2))
     hps = [Hyperplane(nrm, Fraction(num, den), tuple(srcs)) for (nrm, num, den), srcs in seen.items()]
     hps.sort(key=lambda h: (h.normal, h.offset))
     return Arrangement(system.n, system.k, hps)
@@ -198,11 +209,14 @@ class _Flat:
     coprime integer directions spanning it.  The base point is
     ``base / denom``; the hyperplane rows take the values
     ``base_values[i] / values_denom`` there.  ``split`` says whether some
-    hyperplane crosses the flat without containing it.
+    hyperplane crosses the flat without containing it.  A point's
+    ``signs`` is the sign vector its line's sweep judged it on; other
+    flats have None.
     """
 
     __slots__ = (
-        "dim", "rows", "pivots", "dirs", "base", "denom", "base_values", "values_denom", "definers", "split"
+        "dim", "rows", "pivots", "dirs", "base", "denom", "base_values", "values_denom", "definers", "split",
+        "signs",
     )
 
     def __init__(self, rows, pivots, dirs, base, denom, base_values, values_denom, definers):
@@ -216,6 +230,7 @@ class _Flat:
         self.values_denom = values_denom
         self.definers = definers
         self.split = False
+        self.signs = None
 
 
 def _make_flat(n, rows, pivots, hrows):
@@ -228,51 +243,75 @@ def _make_flat(n, rows, pivots, hrows):
     return _Flat(rows, pivots, dirs, base, denom, base_values, denom, definers)
 
 
-def _points_on_line(fl, hrows, flats, covers):
-    """Zero-dimensional flats on a line, grouped by crossing parameter.
+def _points_on_line(fl, hrows, flats, covers, keep):
+    """Zero-dimensional flats on a line, judged in one sweep along it.
 
     All hyperplanes through base + t*u either contain the line (so are
     among its definers) or cross it at parameter t, which makes the
-    definers and hyperplane values of every point on the line cheap.
-    Points whose definers fail ``covers`` are dropped before their values
-    are computed: a point has no subflats, so nothing below needs it.
+    definers and sign vector of every point on the line cheap: the signs
+    at t -> -inf are -sign(slope) for a crossing hyperplane and the sign of
+    its value for any other, and they change only where hyperplanes cross.
+    So the points are visited in their exact order along the line, and
+    each is judged before it is built: a point whose definers fail
+    ``covers`` or whose sign vector ``keep`` rejects is dropped, a rejected
+    one marked None in ``flats`` so that no other line judges it again.
+    Only a kept point gets its hyperplane values, and it carries the sign
+    vector it was judged on.  A point has no subflats, so nothing below
+    needs a dropped one.
     """
     u = fl.dirs[0]
     slopes = [linalg.dot(a, u) for a, _ in hrows]
+    signs = []  # the sign vector at t -> -inf
     crossings: dict[tuple[int, int], list[int]] = {}  # t = num / den in lowest terms
     for i, t in enumerate(slopes):
-        if t != 0 and i not in fl.definers:
-            num, den = -fl.base_values[i], fl.values_denom * t
-            if den < 0:
-                num, den = -num, -den
-            g = math.gcd(num, den)
-            crossings.setdefault((num // g, den // g), []).append(i)
+        if t == 0:  # the line lies in, or parallel to, hyperplane i
+            signs.append(_sign(fl.base_values[i]))
+            continue
+        signs.append(-_sign(t))
+        num, den = -fl.base_values[i], fl.values_denom * t
+        if den < 0:
+            num, den = -num, -den
+        g = math.gcd(num, den)
+        crossings.setdefault((num // g, den // g), []).append(i)
     fl.split = bool(crossings)
-    out = []
-    for (num, den), idxs in crossings.items():
+    kept = []  # (first hyperplane, key, point)
+    for num, den in sorted(crossings, key=lambda t: Fraction(*t)):
+        idxs = crossings[num, den]
+        for i in idxs:
+            signs[i] = 0
         definers = fl.definers | frozenset(idxs)
-        if covers is not None and not covers(definers):
-            continue
-        base, denom = _shifted(fl.base, fl.denom, num, den, u)
-        key = ("pt", denom) + base
-        if key in flats:
-            continue
-        values, values_denom = _shifted(fl.base_values, fl.values_denom, num, den, slopes)
-        pt = _Flat((), (), [], base, denom, values, values_denom, definers)
+        if covers is None or covers(definers):
+            base, denom = _shifted(fl.base, fl.denom, num, den, u)
+            key = ("pt", denom) + base
+            if key not in flats:
+                judged = tuple(signs)
+                if keep is None or keep(judged):
+                    values, values_denom = _shifted(fl.base_values, fl.values_denom, num, den, slopes)
+                    pt = _Flat((), (), [], base, denom, values, values_denom, definers)
+                    pt.signs = judged
+                    kept.append((idxs[0], key, pt))
+                else:
+                    flats[key] = None
+        for i in idxs:
+            signs[i] = _sign(slopes[i])
+    # the lattice lists a line's points by their first crossing hyperplane,
+    # so that each level comes out in the order of its sorted definers
+    kept.sort()
+    for _, key, pt in kept:
         flats[key] = pt
-        out.append(pt)
-    return out
+    return [pt for _, _, pt in kept]
 
 
-def _intersection_lattice(arr: Arrangement, covering_only: bool) -> list[_Flat]:
+def _intersection_lattice(arr: Arrangement, covering_only: bool, keep=None) -> list[_Flat]:
     """Every flat, breadth first; with ``covering_only``, the covering flats,
     each with its exact ``split``, and only the other flats that lead to
     them: a flat that ties no monomials of some polynomials is intersected
-    only with the hyperplanes of the one among them with the fewest."""
+    only with the hyperplanes of the one among them with the fewest.  With
+    ``keep``, only the points whose sign vectors it accepts are built."""
     n, hrows = arr.n, arr._rows
     covers = arr.covers if covering_only else None
     start = _make_flat(n, (), (), hrows)
-    flats = {start.rows: start}  # flats by rows, points by ("pt", denom, *base)
+    flats = {start.rows: start}  # flats by rows, points by ("pt", denom, *base), None if rejected
     frontier = [start]
     while frontier:
         new = []
@@ -280,7 +319,7 @@ def _intersection_lattice(arr: Arrangement, covering_only: bool) -> list[_Flat]:
             if fl.dim == 0:
                 continue
             if fl.dim == 1:
-                new.extend(_points_on_line(fl, hrows, flats, covers))
+                new.extend(_points_on_line(fl, hrows, flats, covers, keep))
                 continue
             crossing = range(len(hrows))
             if covering_only:
@@ -301,7 +340,7 @@ def _intersection_lattice(arr: Arrangement, covering_only: bool) -> list[_Flat]:
                 flats[rows] = sub
                 new.append(sub)
         frontier = new
-    return list(flats.values())
+    return [fl for fl in flats.values() if fl is not None]
 
 
 def _first_outside_span(vectors, spanning):
@@ -338,11 +377,12 @@ def enumerate_faces(arrangement: Arrangement, keep=None) -> tuple[ArrFace, ...]:
     sign vectors, only the covering flats are walked and only the faces
     ``keep`` accepts are returned and stepped off; if they lie on covering
     flats and are closed under taking faces, that is the full list
-    filtered by ``keep``, witnesses included.
+    filtered by ``keep``, witnesses included.  ``keep`` is called at most
+    once per sign vector, with an immutable tuple, which it may store.
     """
     n, hrows = arrangement.n, arrangement._rows
     by_dim: dict[int, list[_Flat]] = {}
-    for fl in _intersection_lattice(arrangement, keep is not None):
+    for fl in _intersection_lattice(arrangement, keep is not None, keep):
         if keep is None or arrangement.covers(fl.definers):
             by_dim.setdefault(fl.dim, []).append(fl)
     for level in by_dim.values():
@@ -360,14 +400,16 @@ def enumerate_faces(arrangement: Arrangement, keep=None) -> tuple[ArrFace, ...]:
                 members_by_hp.setdefault(i, []).append(rec)
         for fl in by_dim.get(d, ()):
             if not fl.split:
-                # Nothing splits the flat: it is a single face outright.
-                signs = tuple([_sign(v) for v in fl.base_values])
-                if signs not in found:
-                    rec = None
-                    if keep is None or keep(signs):
-                        rec = _FaceRec(signs, fl.base, fl.denom, fl.base_values, fl.values_denom, fl)
-                        new.append(rec)
-                    found[signs] = rec
+                # Nothing splits the flat: it is a single face outright.  A
+                # point was kept on the signs its line's sweep judged.
+                signs = fl.signs
+                if signs is None:
+                    signs = tuple([_sign(v) for v in fl.base_values])
+                    if keep is not None and not keep(signs):
+                        found[signs] = None
+                        continue
+                found[signs] = _FaceRec(signs, fl.base, fl.denom, fl.base_values, fl.values_denom, fl)
+                new.append(found[signs])
                 continue
             if fl.definers:
                 i0 = min(fl.definers, key=lambda i: len(members_by_hp.get(i, ())))

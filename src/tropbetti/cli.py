@@ -100,7 +100,7 @@ def parse_system(text: bytes) -> TropSystem:
             a = _coeffs(mon_doc[0], n, path)
             if not laurent and any(c < 0 for c in a):
                 raise InputError(f"negative coefficient at {path}")
-            mons.append(LinForm.make(a, _rational(mon_doc[1], path)))
+            mons.append(LinForm(a, _rational(mon_doc[1], path)))
         polys.append(TropPoly(mons))
     return TropSystem(n, polys)
 

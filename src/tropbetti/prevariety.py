@@ -202,15 +202,19 @@ def cells_via_arrangement(s: TropSystem) -> PrevarietyComplex:
     """Prevariety cells as merged tie-pattern classes of arrangement faces."""
     arr = s.arrangement
     read = _pattern_reader(s, arr)
+    patterns: dict[tuple[int, ...], TiePattern] = {}  # each kept face's, by sign vector
 
     def zero(signs) -> bool:
         # a tie in every polynomial: on a covering flat, and closed under
         # taking faces, as the prevariety is closed
-        return read(signs) is not None
+        b = read(signs)
+        if b is not None:
+            patterns[signs] = b
+        return b is not None
 
     top: dict[TiePattern, ArrFace] = {}  # each pattern's first face of top dimension
     for face in arrangement.enumerate_faces(arr, zero):
-        b = read(face.signs)
+        b = patterns[face.signs]
         if b not in top or face.dim > top[b].dim:
             top[b] = face
     return PrevarietyComplex(s, [PrevarietyCell(b, f.dim, f.witness) for b, f in top.items()])

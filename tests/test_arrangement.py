@@ -19,6 +19,7 @@ from tropbetti.arrangement import (
 )
 from tropbetti.corpus import complex_corpus, random_system, system_corpus
 from tropbetti.exactgeom import HPolyhedron
+from tropbetti.prevariety import _pattern_reader
 from tropbetti.realize import ComplexDescription, complex_prevariety, gen_grid_example
 from tropbetti.tropical import LinForm, TropPoly, TropSystem
 
@@ -289,6 +290,122 @@ def test_pruned_lattice_on_the_square_builds_few_flats():
     flats = _intersection_lattice(arr, True)
     assert (arr.ell, len(flats), sum(arr.covers(fl.definers) for fl in flats)) == (140, 584, 583)
     assert sum(fl.dim == 1 for fl in flats) == min(len(hps) for hps in arr._poly_hps) == 20
+
+
+def cells_keep(s, arr, asked=None):
+    """The cells walk's predicate: a tie in every polynomial.  Each sign
+    vector it is asked about is appended to ``asked``."""
+    read = _pattern_reader(s, arr)
+
+    def keep(signs):
+        if asked is not None:
+            asked.append(signs)
+        return read(signs) is not None
+
+    return keep
+
+
+def test_cells_lattice_on_the_square_builds_only_its_kept_points():
+    """With the cells' keep the square's lattice builds its 24 kept points,
+    each carrying its sign vector, and none of the 539 other covering
+    points; without keep the covering lattice still builds all 584 flats."""
+    s = realized_square()
+    arr = build_arrangement(s)
+    keep = cells_keep(s, arr)
+    points = [fl for fl in _intersection_lattice(arr, True, keep) if fl.dim == 0]
+    kept_vertices = {f.signs for f in enumerate_faces(arr) if f.dim == 0 and keep(f.signs)}
+    assert len(points) == len(kept_vertices) == 24
+    assert {fl.signs for fl in points} == kept_vertices
+    flats = _intersection_lattice(arr, True)
+    assert (len(flats), sum(fl.dim == 0 for fl in flats)) == (584, 563)
+
+
+def rational_rows(arr):
+    """Each rational hyperplane as (normal, p, q), offset p / q with q > 0."""
+    return [(h.normal, h.offset.numerator, h.offset.denominator) for h in arr.hyperplanes]
+
+
+def _sign(v) -> int:
+    return (v > 0) - (v < 0)
+
+
+def signs_at(rows, x, d) -> tuple[int, ...]:
+    """The sign vector at the integer point x over d > 0 of ``rational_rows``."""
+    return tuple(_sign(q * linalg.dot(a, x) - p * d) for a, p, q in rows)
+
+
+def point_or_line_witness(rows, n, signs):
+    """(x, d), an integer point over d > 0 with sign vector ``signs``, when
+    the zero hyperplanes of ``signs`` cut out a point or a line, found from
+    the rational hyperplanes; None if no point of that flat has it, and
+    "plane" for a larger flat."""
+    zero = [(a, Fraction(p, q)) for (a, p, q), sg in zip(rows, signs) if sg == 0]
+    if zero:
+        base = linalg.solve([a for a, _ in zero], [b for _, b in zero])
+        if base is None:
+            return None
+        dirs = linalg.nullspace([a for a, _ in zero], n)
+    else:
+        base, dirs = (Fraction(0),) * n, [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    if len(dirs) > 1:
+        return "plane"
+    d = math.lcm(*(c.denominator for c in base))
+    x = [int(c * d) for c in base]
+    if not dirs:
+        return x, d
+    u = linalg.integral_rows(dirs)[0]
+    # base + t u has the signs exactly for lo < t < hi, as (num, den > 0)
+    lo = hi = None
+    for (a, p, q), sg in zip(rows, signs):
+        v, r = q * linalg.dot(a, x) - p * d, q * d * linalg.dot(a, u)  # the value is (v + t r) / (q d)
+        if r == 0:
+            if _sign(v) != sg:
+                return None
+        elif sg == 0:
+            return None
+        else:
+            root = (-v, r) if r > 0 else (v, -r)
+            if sg * r > 0 and (lo is None or root[0] * lo[1] > lo[0] * root[1]):
+                lo = root
+            elif sg * r < 0 and (hi is None or root[0] * hi[1] < hi[0] * root[1]):
+                hi = root
+    if lo is None or hi is None:
+        t = Fraction(*lo) + 1 if lo is not None else Fraction(*hi) - 1 if hi is not None else Fraction(0)
+    elif lo[0] * hi[1] < hi[0] * lo[1]:
+        t = (Fraction(*lo) + Fraction(*hi)) / 2
+    else:
+        return None
+    # x / d + t u over the denominator d * t.denominator
+    return [c * t.denominator + t.numerator * d * w for c, w in zip(x, u)], d * t.denominator
+
+
+def test_cells_keep_is_asked_only_about_faces():
+    """Every sign vector the cells' keep is asked about, rejected ones
+    included, is a tuple and the sign vector of a face: on the square, of
+    the full walk; on members 34 and 39, of a point found with the rational
+    hyperplanes.  This judges the line sweep on the points it rejects,
+    which no face list shows.  The sign vectors on the planes of member 39
+    come from stepping off kept faces, which the pinned face lists judge."""
+    s = realized_square()
+    arr = build_arrangement(s)
+    asked: list = []
+    enumerate_faces(arr, cells_keep(s, arr, asked))
+    full = {f.signs for f in enumerate_faces(arr)}
+    assert len(asked) == 651 and all(type(sg) is tuple and sg in full for sg in asked)
+
+    members = complex_corpus(7, 40)
+    for i in (34, 39):
+        s = complex_prevariety(members[i])
+        arr = build_arrangement(s)
+        asked = []
+        enumerate_faces(arr, cells_keep(s, arr, asked))
+        assert asked and all(type(sg) is tuple for sg in asked)
+        rows = rational_rows(arr)
+        witnesses = [point_or_line_witness(rows, arr.n, sg) for sg in asked]
+        checked = [(sg, w) for sg, w in zip(asked, witnesses) if w != "plane"]
+        assert len(checked) > len(asked) // 2
+        for sg, w in checked:
+            assert w is not None and signs_at(rows, *w) == sg
 
 
 # ------------------------------------------------- pinned face lists

@@ -5,6 +5,9 @@ import importlib
 import importlib.util
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
 
 from tropbetti import cli
 
@@ -50,13 +53,31 @@ def test_run_corpus_check_with_the_oracle(monkeypatch, capsys):
     assert judged and max(judged) <= 6
 
 
-def test_time_realized_prints_each_members_figures(capsys):
+def test_time_realized_prints_each_members_figures(monkeypatch, capsys):
     script = _load(ROOT / "scripts" / "time_realized.py")
     assert script.run(["16", "0"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines] == ["member 16", "member 0"]
     assert lines[0].endswith("n=2 k=4 ell=14 cells=8 betti=[2]")
     assert lines[1].endswith("n=2 k=4 ell=9 cells=3 betti=[1]")
+
+    # --repeat runs each member again from scratch and prints each stage's
+    # median: a clock that steps by (realize, cells, betti) = (1, 2, 0.5),
+    # (5, 9, 0.25) and (3, 4, 0.125) gives medians 3, 4 and 0.25
+    steps = iter([1, 2, 0.5, 0, 5, 9, 0.25, 0, 3, 4, 0.125, 0])
+    clock = [0.0]
+
+    def perf_counter():
+        now = clock[0]
+        clock[0] += next(steps, 0)
+        return now
+
+    monkeypatch.setattr(script, "time", SimpleNamespace(perf_counter=perf_counter))
+    assert script.run(["--repeat", "3", "16"]) == 0
+    [line] = capsys.readouterr().out.splitlines()
+    assert line == "member 16: realize 3.000s cells 4.000s betti 0.250s n=2 k=4 ell=14 cells=8 betti=[2]"
+    with pytest.raises(SystemExit):
+        script.run(["--repeat", "0", "16"])
 
 
 def test_benchmark_harness_names_exist():
