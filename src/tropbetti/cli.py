@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 invalid input, 2 internal invariant violation
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import math
@@ -147,11 +148,6 @@ def _rat_json(q) -> str:
         raise _digit_limit_error() from None
 
 
-def _radval_json(v: RadVal) -> list[int]:
-    sq = v.sq()
-    return [sq.numerator, sq.denominator]
-
-
 def serialize_system(s: TropSystem) -> dict:
     doc: dict = {"n": s.n}
     if any(f.laurent for f in s.polys):
@@ -178,31 +174,22 @@ def _cell_json(comp: PrevarietyComplex, i: int) -> dict:
 
 
 def _bound_report_json(r: BoundReport) -> dict:
+    """The report's fields by name, an exact volume as ``<name>_sq`` and
+    ``<name>_approx``, and ``all_ok``."""
     # vol_r <= dense_bound, so the bound's approximation overflows first
     if r.dense_bound > sys.float_info.max:
         raise InputError("dense_bound_approx is beyond float range")
-    return {
-        "n": r.n,
-        "k": r.k,
-        "m": r.m,
-        "d": r.d,
-        "r": r.r,
-        "phi": r.phi,
-        "total_betti": r.total_betti,
-        "vol_r_sq": _radval_json(r.vol_r),
-        "vol_r_approx": r.vol_r.approx(),
-        "dense_bound_sq": _radval_json(r.dense_bound),
-        "dense_bound_approx": r.dense_bound.approx(),
-        "dense_degenerate": r.dense_degenerate,
-        "degree_bound": r.degree_bound,
-        "sparse_bound": r.sparse_bound,
-        "sparse_degenerate": r.sparse_degenerate,
-        "betti_le_phi": r.betti_le_phi,
-        "phi_le_dense": r.phi_le_dense,
-        "phi_le_sparse": r.phi_le_sparse,
-        "betti_le_degree": r.betti_le_degree,
-        "all_ok": r.all_ok,
-    }
+    out: dict = {}
+    for f in dataclasses.fields(r):
+        value = getattr(r, f.name)
+        if isinstance(value, RadVal):
+            sq = value.sq()
+            out[f"{f.name}_sq"] = [sq.numerator, sq.denominator]
+            out[f"{f.name}_approx"] = value.approx()
+        else:
+            out[f.name] = value
+    out["all_ok"] = r.all_ok
+    return out
 
 
 # ---------------------------------------------------------------- checks

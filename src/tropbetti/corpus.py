@@ -65,6 +65,6 @@ def random_complex(rng: random.Random, max_n: int = 3, max_members: int = 4) -> 
     return ComplexDescription.make(n, members)
 
 
-def complex_corpus(seed: int, count: int, **kwargs) -> list[ComplexDescription]:
+def complex_corpus(seed: int, count: int) -> list[ComplexDescription]:
     rng = random.Random(seed)
-    return [random_complex(rng, **kwargs) for _ in range(count)]
+    return [random_complex(rng) for _ in range(count)]

@@ -1,7 +1,9 @@
 """Exact rational convex geometry: H-polyhedra, V-polytopes, volumes.
 
-H-polyhedron predicates are feasibility questions, decided exactly by
-Fourier–Motzkin elimination (see linprog); ``HPolyhedron`` serves
+H-polyhedron predicates, emptiness among them, are feasibility questions,
+decided exactly by Fourier–Motzkin elimination (see linprog) and asked
+anew on each call; the relative interior, from which ``realize`` reads a
+member's affine hull, is a polyhedron's one memo.  ``HPolyhedron`` serves
 ``realize`` input and the tests' reference.  Its ``canonical`` and the
 cells' poset H-reps share ``canonical_form``.
 A V-polytope's vertices, dimension r and r-volume come from one run of an
@@ -26,6 +28,7 @@ import sys
 from collections import Counter, namedtuple
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property, total_ordering
 
 from . import linalg, linprog
 from .linalg import InvariantError
@@ -68,12 +71,15 @@ def sqfree_decompose(g: int) -> tuple[int, int]:
     return sq, s * g
 
 
+@total_ordering
 @dataclass(frozen=True)
 class RadVal:
     """Exact nonnegative value q*sqrt(s), s a positive integer.
 
     ``from_sqrt`` leaves s squarefree up to trial division's bound, so two
-    equal values may differ in (q, s); equality and hashing go by ``sq()``.
+    equal values may differ in (q, s); equality, order and hashing go by
+    ``sq()``.  The order is ``__lt__``'s; comparing with a negative rational
+    raises ``ValueError``.
     """
 
     q: Fraction
@@ -110,21 +116,9 @@ class RadVal:
             raise ValueError("comparison with negative rational")
         return self.sq(), other * other
 
-    def __le__(self, other):
-        a, b = self._cmp_key(other)
-        return a <= b
-
     def __lt__(self, other):
         a, b = self._cmp_key(other)
         return a < b
-
-    def __ge__(self, other):
-        a, b = self._cmp_key(other)
-        return a >= b
-
-    def __gt__(self, other):
-        a, b = self._cmp_key(other)
-        return a > b
 
     def __eq__(self, other):
         if isinstance(other, RadVal):
@@ -188,55 +182,44 @@ class HPolyhedron:
     """{x : <a,x> = b for eqs, <a,x> >= b for ineqs}, exact rational data.
 
     Immutable after construction; rows are canonicalized to coprime integer
-    normals (equality rows additionally sign-normalized).
+    normals (equality rows additionally sign-normalized).  A zero row that
+    every point satisfies is dropped, and one that no point satisfies is
+    kept as the row 0.x >= 1, so emptiness is a feasibility question like
+    any other.  Each predicate asks its own; the relative interior, from
+    which the affine hull and the canonical form are read, is the one memo.
     """
 
     def __init__(self, n: int, equalities=(), inequalities=()):
         self.n = n
-        eqs, ineqs = [], []
-        forced_empty = False
-        for a, b in equalities:
-            a = tuple(Fraction(v) for v in a)
-            if len(a) != n:
-                raise DimensionMismatch("equality arity != ambient dimension")
-            if linalg.is_zero_vec(a):
-                if Fraction(b) != 0:
-                    forced_empty = True
-                continue
-            eqs.append(_canon_row(a, b, True))
-        for a, b in inequalities:
-            a = tuple(Fraction(v) for v in a)
-            if len(a) != n:
-                raise DimensionMismatch("inequality arity != ambient dimension")
-            if linalg.is_zero_vec(a):
-                if Fraction(b) > 0:
-                    forced_empty = True
-                continue
-            ineqs.append(_canon_row(a, b, False))
-        self.eq = tuple(sorted(set(eqs)))
-        self.ineq = tuple(sorted(set(ineqs)))
-        self.forced_empty = forced_empty
-        self._cache: dict = {}
+        eqs, ineqs = set(), set()
+        for rows, kept, is_eq in ((equalities, eqs, True), (inequalities, ineqs, False)):
+            for a, b in rows:
+                a, b = tuple(Fraction(v) for v in a), Fraction(b)
+                if len(a) != n:
+                    raise DimensionMismatch(f"{'equality' if is_eq else 'inequality'} arity != ambient dimension")
+                if not linalg.is_zero_vec(a):
+                    kept.add(_canon_row(a, b, is_eq))
+                elif (b != 0) if is_eq else (b > 0):  # no point has 0 = b or 0 >= b
+                    ineqs.add(((0,) * n, Fraction(1)))
+        self.eq = tuple(sorted(eqs))
+        self.ineq = tuple(sorted(ineqs))
 
     def __repr__(self):
         return f"HPolyhedron(n={self.n}, eq={len(self.eq)}, ineq={len(self.ineq)})"
 
     def feasible_point(self):
-        if "feas" not in self._cache:
-            self._cache["feas"] = None if self.forced_empty else linprog.feasible_point(self.n, self.eq, self.ineq)
-        return self._cache["feas"]
+        return linprog.feasible_point(self.n, self.eq, self.ineq)
 
     def is_empty(self) -> bool:
         return self.feasible_point() is None
 
     def contains(self, point) -> bool:
         point = linalg.fvec(point)
-        if self.forced_empty:
-            return False
         return all(linalg.dot(a, point) == b for a, b in self.eq) and all(
             linalg.dot(a, point) >= b for a, b in self.ineq
         )
 
+    @cached_property
     def _relint(self):
         """(implicit equality indices, relative-interior point) or None.
 
@@ -245,11 +228,8 @@ class HPolyhedron:
         The mean of that point and the strict points found is strict on
         every other row.
         """
-        if "relint" in self._cache:
-            return self._cache["relint"]
         w = self.feasible_point()
         if w is None:
-            self._cache["relint"] = None
             return None
         implicit: set[int] = set()
         points = [w]
@@ -263,27 +243,24 @@ class HPolyhedron:
                 implicit.add(i)
             else:
                 points.append(p)
-        mean = tuple(sum(col) / len(points) for col in zip(*points))
-        self._cache["relint"] = (implicit, mean)
-        return self._cache["relint"]
+        return implicit, tuple(sum(col) / len(points) for col in zip(*points))
 
     def relative_interior_point(self):
-        r = self._relint()
+        r = self._relint
         return None if r is None else r[1]
 
     def affine_hull_rows(self):
         """Equality rows (incl. implicit ones) cutting out the affine hull."""
-        r = self._relint()
+        r = self._relint
         if r is None:
             raise EmptyPolyhedronError("empty polyhedron has no affine hull")
         implicit, _ = r
         return list(self.eq) + [self.ineq[i] for i in sorted(implicit)]
 
     def affine_dim(self) -> int:
-        if self.is_empty():
+        if self._relint is None:
             return -1
-        rows = [a for a, _ in self.affine_hull_rows()]
-        return self.n - linalg.rank(rows)
+        return self.n - linalg.rank([a for a, _ in self.affine_hull_rows()])
 
     def lineality_basis(self):
         if self.is_empty():
@@ -294,29 +271,18 @@ class HPolyhedron:
     def is_bounded(self) -> bool:
         """Empty, or a recession cone {v : eq.v = 0, ineq.v >= 0} with no v
         that has +-v_i > 0 for a coordinate i."""
-        if "bounded" not in self._cache:
-            cone = [(a, 0) for a, _ in self.eq], [(a, 0) for a, _ in self.ineq]
-            units = [tuple(s * (j == i) for j in range(self.n)) for i in range(self.n) for s in (1, -1)]
-            self._cache["bounded"] = self.is_empty() or all(
-                linprog.feasible_point(self.n, *cone, [(u, 0)]) is None for u in units
-            )
-        return self._cache["bounded"]
+        cone = [(a, 0) for a, _ in self.eq], [(a, 0) for a, _ in self.ineq]
+        units = [tuple(s * (j == i) for j in range(self.n)) for i in range(self.n) for s in (1, -1)]
+        return self.is_empty() or all(linprog.feasible_point(self.n, *cone, [(u, 0)]) is None for u in units)
 
     def intersect(self, other: "HPolyhedron") -> "HPolyhedron":
         if self.n != other.n:
             raise DimensionMismatch("ambient dimensions differ")
-        p = HPolyhedron(self.n, self.eq + other.eq, self.ineq + other.ineq)
-        if self.forced_empty or other.forced_empty:
-            p.forced_empty = True
-        return p
+        return HPolyhedron(self.n, self.eq + other.eq, self.ineq + other.ineq)
 
     def canonical(self) -> CanonicalHRep:
-        if "canon" in self._cache:
-            return self._cache["canon"]
-        if self._relint() is None:
-            form = CanonicalHRep(self.n, True)
-            self._cache["canon"] = form
-            return form
+        if self._relint is None:
+            return CanonicalHRep(self.n, True)
         form = canonical_form(self.n, self.affine_hull_rows(), self.ineq)
         # strip each inequality that the others imply: none of their points violates it
         kept = list(form.ineqs)
@@ -328,9 +294,7 @@ class HPolyhedron:
                 del kept[i]
             else:
                 i += 1
-        form = replace(form, ineqs=tuple(kept))
-        self._cache["canon"] = form
-        return form
+        return replace(form, ineqs=tuple(kept))
 
     def vertices(self):
         """Vertices of the polyhedron (brute force; small inputs only)."""

@@ -69,6 +69,12 @@ Each oracle deliberately avoids the code path it is used to check:
   ``is_empty``).  It uses
   neither the realization, the tie arrangement, the dual route nor the
   face poset.
+- ``cell_nerve_betti`` takes the Betti numbers of any prevariety from the
+  nerve of its closed maximal cells, whose patterns come from the dual
+  route and whose closures are ``pattern_closure``; the emptiness of each
+  intersection is decided by Farkas multipliers in the simplex
+  (``simplex.farkas_infeasible``).  It uses neither the arrangement, the
+  face poset, the retract, ``triangulate`` nor ``linalg.rank``.
 - ``sign_vector`` evaluates every rational hyperplane at a point
   (``hyperplane_value``), and ``face_at`` picks the enumerated face with
   that sign vector; the enumeration under test reads integer rows scaled
@@ -88,11 +94,11 @@ from tropbetti import exactgeom, linalg
 from tropbetti.arrangement import enumerate_faces
 from tropbetti.cli import sign_vectors_bruteforce  # the one copy; re-exported here
 from tropbetti.exactgeom import DimensionMismatch, HPolyhedron, RadVal, VPolytope, newton_volume
-from tropbetti.prevariety import DualFace, TiePattern
+from tropbetti.prevariety import DualFace, TiePattern, dual_subdivision, tropical_faces
 from tropbetti.topology import BettiVector, SimplicialComplex, betti
 from tropbetti.tropical import LinForm, TropPoly, eval_poly
 
-from simplex import LPStatus, solve_lp
+from simplex import LPStatus, farkas_infeasible, solve_lp
 
 
 def rational_rank(rows) -> int:
@@ -151,6 +157,35 @@ def nerve_betti(c) -> BettiVector:
             if not common.is_empty():
                 simplices.add(frozenset(sub))
     return betti(SimplicialComplex(tuple(members), frozenset(simplices)))
+
+
+def cell_nerve_betti(s) -> BettiVector:
+    """b_0, ..., b_(n-1) of a prevariety V in Q^n from the nerve of its
+    closed maximal cells (the nerve theorem, as for ``nerve_betti``).
+
+    The maximal cells are the tropical lower faces of the dual route whose
+    pattern contains no other's.  The closures of cells B_1, ..., B_r meet
+    in the closure of the union of their patterns (``pattern_closure``),
+    decided empty by the multipliers' simplex (``farkas_infeasible``).
+    dim V <= n - 1, so the nerve's n-skeleton, its simplices on at most
+    n + 1 cells, has the homology that counts; its b_n is not read.
+    """
+    patterns = [set(f.pattern.pairs) for f in tropical_faces(dual_subdivision(s))]
+    maximal = [b for b in patterns if not any(other < b for other in patterns)]
+    simplices = {frozenset([i]) for i in range(len(maximal))}
+    layer = sorted(simplices, key=sorted)
+    for _ in range(s.n):
+        grown = {a | b for a, b in itertools.combinations(layer, 2) if len(a | b) == len(a) + 1}
+        layer = []
+        for sub in sorted(grown, key=sorted):
+            if any(sub - {i} not in simplices for i in sub):
+                continue
+            common = pattern_closure(s, TiePattern(tuple(sorted(set().union(*(maximal[i] for i in sub))))))
+            if not farkas_infeasible(s.n, common.eq, common.ineq):
+                simplices.add(sub)
+                layer.append(sub)
+    b = simplicial_betti(SimplicialComplex(tuple(range(len(maximal))), frozenset(simplices)))
+    return BettiVector.make(b[: s.n])
 
 
 def convex_hull_2d(points) -> list[tuple[Fraction, Fraction]]:

@@ -7,6 +7,9 @@ which it judges (``test_linprog``: feasibility by the capped common slack
 of the strict rows, ``relint_witness``; ``test_exactgeom``: a member's
 implicit equalities as the rows whose maximum is their right-hand side),
 and it stays the LP behind the oracles in ``oracles.py``.
+``farkas_infeasible`` runs phase I on Farkas multipliers, which keeps the
+tableau at n + 1 rows for a long system in few coordinates, as the cell
+nerve of ``oracles.cell_nerve_betti`` asks.
 """
 
 from __future__ import annotations
@@ -196,3 +199,27 @@ def relint_witness(n, eqs, stricts):
     if res.status is not LPStatus.OPTIMAL or res.value <= 0:
         return None
     return res.x[:n]
+
+
+def farkas_infeasible(n, eqs, ineqs) -> bool:
+    """Whether {a.x = b for eqs, a.x >= b for ineqs} in Q^n has no point.
+
+    By Farkas' lemma it has none exactly when multipliers, free on the
+    equalities and nonnegative on the inequalities, sum the rows to
+    0.x = c with c > 0.  Scaled to c = 1 they are a point z >= 0 with
+    sum_j z_j (a_j, b_j) = (0, 1), found by phase I on n + 1 rows, one
+    column per inequality and two per equality, so a long system in few
+    coordinates gives a short tableau.
+    """
+    columns = [(*a, b) for a, b in ineqs]
+    for a, b in eqs:
+        columns += [(*a, b), tuple(-v for v in (*a, b))]
+    width = len(columns)
+    # one artificial per row, the rows' right-hand sides (0, ..., 0, 1) >= 0
+    rows = [[Fraction(col[i]) for col in columns] + [Fraction(i == j) for j in range(n + 1)] for i in range(n + 1)]
+    rhs = [Fraction(i == n) for i in range(n + 1)]
+    basis = list(range(width, width + n + 1))
+    obj = [-sum(row[j] for row in rows) for j in range(width)] + [Fraction(0)] * (n + 1)
+    obj_rhs = [Fraction(-1)]
+    _run_simplex(rows, rhs, obj, obj_rhs, basis)
+    return obj_rhs[0] == 0

@@ -240,6 +240,45 @@ def test_realize_command(capsys, monkeypatch):
     assert code == 0 and json.loads(out) == [2]
 
 
+@pytest.mark.parametrize("rows", ['"eq":[[[0,0],"1"]]', '"eq":[[[0,1],"0"]],"ineq":[[[0,0],"1"]]'])
+def test_realize_rejects_a_member_with_a_zero_row_no_point_satisfies(capsys, monkeypatch, rows):
+    doc = '{"n":2,"polyhedra":[{"eq":[[[1,0],"0"]]},{%s}]}' % rows
+    code, out, err = run(capsys, ["realize", "-"], doc, monkeypatch)
+    assert code == 1 and out == ""
+    assert err == "error: empty polyhedron has no affine hull\n"
+
+
+def test_realize_ignores_trivially_true_zero_rows(capsys, monkeypatch):
+    """0 = 0 and 0 >= -1 in the square's members leave its system byte-identical."""
+    padded = json.loads(SQUARE_DOC)
+    padded["polyhedra"][0]["eq"].append([[0, 0], "0"])
+    padded["polyhedra"][1]["ineq"].append([[0, 0], "-1"])
+    padded["polyhedra"][2]["ineq"].insert(0, [[0, 0], "0"])
+    outs = []
+    for doc in (SQUARE_DOC, json.dumps(padded)):
+        code, out, _ = run(capsys, ["realize", "-"], doc, monkeypatch)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+def test_complex_prevariety_asks_each_member_its_affine_hull_once(monkeypatch):
+    """One feasibility question per member for its point, and one more per
+    inequality tight there: 4 on the square, 14 on four corpus members."""
+    calls = []
+    feasible = linprog.feasible_point
+    monkeypatch.setattr(linprog, "feasible_point", lambda *a, **k: calls.append(a) or feasible(*a, **k))
+    complex_prevariety(parse_complex(SQUARE_DOC.encode()))
+    assert len(calls) == 4
+    corpus = complex_corpus(7, 40)
+    counts = []
+    for i in (34, 39, 5, 13):
+        calls.clear()
+        complex_prevariety(corpus[i])
+        counts.append(len(calls))
+    assert counts == [4, 3, 3, 4] and sum(counts) == 14
+
+
 def test_exit_code_on_invalid_input(capsys, monkeypatch):
     code, out, err = run(capsys, ["betti", "-"], '{"n":1,"polys":[[[[-1],"0"]]]}', monkeypatch)
     assert code == 1 and out == ""

@@ -468,6 +468,34 @@ def test_canonical_identifies_equal_polyhedra():
     assert empty.canonical().empty
 
 
+@pytest.mark.parametrize("zero_eqs, zero_ineqs", [([((0, 0), 1)], []), ([], [((0, 0), 1)])], ids=["0=1", "0>=1"])
+def test_a_zero_row_that_no_point_satisfies_empties_the_polyhedron(zero_eqs, zero_ineqs):
+    """0 = 1 or 0 >= 1 empties a polyhedron whose other rows hold at the
+    origin, through every predicate and through ``intersect``."""
+    p = HPolyhedron(2, [((1, -1), 0), *zero_eqs], [((1, 0), -2), *zero_ineqs])
+    assert p.is_empty() and p.feasible_point() is None and p.relative_interior_point() is None
+    assert not p.contains((0, 0)) and p.affine_dim() == -1
+    assert p.canonical() == exactgeom.CanonicalHRep(2, True)
+    with pytest.raises(EmptyPolyhedronError):
+        p.affine_hull_rows()
+    box = HPolyhedron(2, [], [((1, 0), -1), ((-1, 0), -1), ((0, 1), -1), ((0, -1), -1)])
+    assert not box.is_empty() and box.contains((0, 0))
+    assert box.intersect(p).is_empty() and p.intersect(box).is_empty()
+    assert not box.intersect(p).contains((0, 0))
+    # the simplex of the tests agrees, on the rows as given
+    assert solve_lp(2, [((1, -1), 0), *zero_eqs], [((1, 0), -2), *zero_ineqs]).status is LPStatus.INFEASIBLE
+    assert solve_lp(2, [((1, -1), 0)], [((1, 0), -2)]).status is LPStatus.OPTIMAL
+
+
+def test_trivially_true_zero_rows_are_dropped():
+    """0 = 0 and 0 >= -1 leave the rows as they are without them."""
+    eqs, ineqs = [((1, 1), 2)], [((1, 0), 0), ((0, 2), -1)]
+    plain = HPolyhedron(2, eqs, ineqs)
+    p = HPolyhedron(2, [((0, 0), 0), *eqs], [*ineqs, ((0, 0), -1), ((0, 0), 0)])
+    assert (p.eq, p.ineq) == (plain.eq, plain.ineq)
+    assert p.affine_hull_rows() == plain.affine_hull_rows() == list(plain.eq)
+
+
 def test_contains_and_vertices():
     square = HPolyhedron(
         2, [], [((1, 0), 0), ((-1, 0), -1), ((0, 1), 0), ((0, -1), -1)]

@@ -14,7 +14,7 @@ from tropbetti import linprog
 from tropbetti.linalg import InvariantError
 from tropbetti.linprog import feasible_point
 
-from simplex import LPStatus, relint_witness, solve_lp
+from simplex import LPStatus, farkas_infeasible, relint_witness, solve_lp
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -169,3 +169,19 @@ def test_feasible_point_agrees_with_the_simplex(system):
         assert all(sum(Fraction(c) * v for c, v in zip(a, x)) == b for a, b in eqs)
         assert all(sum(Fraction(c) * v for c, v in zip(a, x)) >= b for a, b in ineqs)
         assert all(sum(Fraction(c) * v for c, v in zip(a, x)) > b for a, b in stricts)
+
+
+def test_farkas_infeasible_examples():
+    assert farkas_infeasible(1, [], [((1,), 1), ((-1,), 0)])
+    assert not farkas_infeasible(1, [], [((1,), 0), ((-1,), 0)])
+    assert farkas_infeasible(2, [((1, 1), 1), ((2, 2), 3)], [])
+    assert farkas_infeasible(2, [((0, 0), 1)], []) and farkas_infeasible(2, [], [((0, 0), 1)])
+    assert not farkas_infeasible(2, [((0, 0), 0)], [((0, 0), -1)]) and not farkas_infeasible(3, [], [])
+
+
+@given(systems())
+@settings(deadline=None, max_examples=300)
+def test_farkas_infeasible_agrees_with_the_primal_simplex(system):
+    """The multipliers' phase I and the primal simplex decide alike."""
+    n, eqs, ineqs, _ = system
+    assert farkas_infeasible(n, eqs, ineqs) == (solve_lp(n, eqs, ineqs).status is LPStatus.INFEASIBLE)

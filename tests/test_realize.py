@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from tropbetti.corpus import complex_corpus, random_complex
+from tropbetti.corpus import random_complex
 from tropbetti.exactgeom import HPolyhedron
 from tropbetti.prevariety import cells_via_arrangement
 from tropbetti.realize import (
@@ -159,7 +159,8 @@ def test_grid_example_validation():
 
 def test_random_complex_roundtrip_membership():
     rng = random.Random(67)
-    for c in complex_corpus(67, 5, max_members=2):
+    corpus_rng = random.Random(67)
+    for c in [random_complex(corpus_rng, max_members=2) for _ in range(5)]:
         s = complex_prevariety(c)
         for _ in range(100):
             x = tuple(

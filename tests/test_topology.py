@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropbetti.corpus import complex_corpus, random_complex, random_system
+from tropbetti.corpus import complex_corpus, random_complex, random_system, system_corpus
 from tropbetti.exactgeom import HPolyhedron, InvariantError
 from tropbetti.prevariety import PrevarietyComplex, cells_via_arrangement, connected_components
 from tropbetti.realize import ComplexDescription, complex_prevariety, gen_grid_example
@@ -18,7 +18,15 @@ from tropbetti.topology import (
 )
 from tropbetti.tropical import LinForm, TropPoly, TropSystem
 
-from oracles import from_maximal, nerve_betti, pattern_closure, simplicial_betti, sliced_closures
+from cli_digests import CORPUS_COUNT, CORPUS_SEED
+from oracles import (
+    cell_nerve_betti,
+    from_maximal,
+    nerve_betti,
+    pattern_closure,
+    simplicial_betti,
+    sliced_closures,
+)
 from strategies import small_systems
 
 
@@ -214,7 +222,7 @@ def test_poset_lineality_and_retract_match_polyhedra(s):
 @given(st.integers(0, 10**6))
 @settings(deadline=None, max_examples=15)
 def test_poset_lineality_and_retract_match_polyhedra_realized(seed):
-    [c] = complex_corpus(seed, 1, max_members=2)
+    c = random_complex(random.Random(seed), max_members=2)
     _assert_poset_matches_polyhedra(cells_via_arrangement(complex_prevariety(c)))
 
 
@@ -244,6 +252,44 @@ def test_nerve_betti_on_complex_corpus():
 def test_nerve_betti_random(seed):
     c = random_complex(random.Random(seed), max_n=2, max_members=3)
     assert betti_of_complex(cells_via_arrangement(complex_prevariety(c))) == nerve_betti(c)
+
+
+def _assert_cell_nerve_agrees(s):
+    want = betti_of_complex(cells_via_arrangement(s))
+    assert len(want.b) <= s.n and cell_nerve_betti(s) == want
+
+
+# a tropical quadric surface in R^3 whose retract has bounded 2-cells
+QUADRIC = TropSystem(
+    3,
+    [
+        poly(
+            ((0, 0, 0), -2), ((0, 0, 1), 9), ((0, 0, 2), 8), ((0, 1, 0), -5), ((0, 1, 1), 2),
+            ((0, 2, 0), 6), ((1, 0, 0), 9), ((1, 0, 1), -7), ((1, 1, 0), -9), ((2, 0, 0), 6),
+        )
+    ],
+)
+
+
+def test_cell_nerve_judges_the_betti_numbers():
+    """The nerve of the closed maximal cells, from the dual route and the
+    simplex, gives the Betti numbers of the walk, the poset and the
+    triangulation on the corpus, the 3x3 grid, a quadric surface, the
+    square and member 34."""
+    for s in system_corpus(CORPUS_SEED, CORPUS_COUNT):
+        _assert_cell_nerve_agrees(s)
+    _assert_cell_nerve_agrees(gen_grid_example(3, 3))
+    comp = cells_via_arrangement(QUADRIC)
+    assert any(c.dim == 2 and keep for c, keep in zip(comp.cells, comp.retract))
+    _assert_cell_nerve_agrees(QUADRIC)
+    _assert_cell_nerve_agrees(complex_prevariety(SQUARE))
+    _assert_cell_nerve_agrees(complex_prevariety(complex_corpus(7, 40)[34]))
+
+
+@given(small_systems())
+@settings(deadline=None, max_examples=150)
+def test_cell_nerve_judges_the_betti_numbers_of_small_systems(s):
+    _assert_cell_nerve_agrees(s)
 
 
 def test_retract_rejects_an_edge_without_two_ends(monkeypatch):
