@@ -32,7 +32,6 @@ from .prevariety import (
     DualFace,
     PrevarietyCell,
     PrevarietyComplex,
-    TiePattern,
     cells_via_arrangement,
     connected_components,
     dual_cell,

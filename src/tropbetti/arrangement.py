@@ -12,7 +12,10 @@ regions of the arrangement induced on L.  Every region of the induced
 arrangement has a facet F (a face one dimension lower, already known), and
 near a relative-interior point of F the arrangement restricted to L looks
 like the single hyperplane spanned by F; stepping off F by an exact
-rational +-eps lands witnesses in the two adjacent regions.
+rational +-eps lands witnesses in the two adjacent regions.  F's flat is
+L & h for any definer h of F's flat that L lacks, so a direction of L
+leaves it exactly when h's normal does not vanish on it: the step goes
+along the first such direction of L, with no elimination.
 
 Each face found has one record (sign vector, witness, hyperplane values,
 flat), and each level's records seed the next.  A face's zero set is the set
@@ -101,12 +104,6 @@ class ArrFace:
 
     def __repr__(self):
         return f"ArrFace(dim={self.dim}, signs={''.join('0+-'[s] for s in self.signs)})"
-
-    def __eq__(self, other):
-        return isinstance(other, ArrFace) and self.signs == other.signs
-
-    def __hash__(self):
-        return hash(self.signs)
 
 
 class Arrangement:
@@ -343,13 +340,6 @@ def _intersection_lattice(arr: Arrangement, covering_only: bool, keep=None) -> l
     return [fl for fl in flats.values() if fl is not None]
 
 
-def _first_outside_span(vectors, spanning):
-    """The first of the integer ``vectors`` outside the span of ``spanning``:
-    the first that the echelon rows of ``spanning`` do not eliminate to zero."""
-    rows, pivots = linalg.echelon(spanning)
-    return next(v for v in vectors if any(linalg.eliminate(v, rows, pivots)))
-
-
 class _FaceRec:
     """A face on ``flat``, whose definers are the face's zero set.
 
@@ -418,8 +408,11 @@ def enumerate_faces(arrangement: Arrangement, keep=None) -> tuple[ArrFace, ...]:
                 candidates = below
             tu_by_dir: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
             for rec in candidates:
-                # rec spans a hyperplane within fl; step off it both ways.
-                u = _first_outside_span(fl.dirs, rec.flat.dirs)
+                # rec spans a hyperplane within fl, fl & h for any definer h
+                # of rec's flat that fl lacks; step off it both ways along
+                # the first direction of fl that h's normal does not kill.
+                h = next(i for i in rec.flat.definers if i not in fl.definers)
+                u = next(v for v in fl.dirs if linalg.dot(hrows[h][0], v))
                 if u not in tu_by_dir:
                     tu = [linalg.dot(a, u) for a, _ in hrows]
                     tu_by_dir[u] = tu, [_sign(x) for x in tu]

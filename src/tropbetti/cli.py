@@ -161,7 +161,7 @@ def serialize_system(s: TropSystem) -> dict:
 def _cell_json(comp: PrevarietyComplex, i: int) -> dict:
     form = comp.hrep(i)
     return {
-        "pattern": [list(p) for p in comp.cells[i].pattern.pairs],
+        "pattern": [list(p) for p in comp.cells[i].pattern],
         "dim": comp.cells[i].dim,
         "bounded": comp.lineality[i] == 0 and comp.retract[i],
         "lineality_dim": comp.lineality[i],
@@ -227,9 +227,7 @@ def check_system(s: TropSystem, oracle: bool = False) -> dict:
     report = _bound_report_json(bound_report(s, comp, betti))
     report["betti"] = list(betti.b)
 
-    cross_ok = sorted((c.pattern.pairs, c.dim) for c in comp.cells) == sorted(
-        (d.pattern.pairs, d.dim) for d in duals
-    )
+    cross_ok = sorted((c.pattern, c.dim) for c in comp.cells) == sorted((d.pattern, d.dim) for d in duals)
     # dim F + dim G(F) = n, with dim G(F) read from route 1's cell
     dims = {c.pattern: c.dim for c in comp.cells}
     duality_ok = all(f.pattern in dims and f.dim + dims[f.pattern] == s.n for f in trop)
@@ -351,7 +349,7 @@ def _cmd_dual(args) -> tuple[dict, int]:
     return {
         "faces": [
             {
-                "pattern": [list(p) for p in f.pattern.pairs],
+                "pattern": [list(p) for p in f.pattern],
                 "dim": f.dim,
                 "tropical": f.tropical,
             }
@@ -365,7 +363,7 @@ def _cmd_components(args) -> tuple[dict, int]:
     groups = connected_components(comp)
     return {
         "components": [
-            [[list(p) for p in cell.pattern.pairs] for cell in group] for group in groups
+            [[list(p) for p in cell.pattern] for cell in group] for group in groups
         ]
     }, 0
 

@@ -7,6 +7,10 @@ merged into the single convex, relatively open cell U_B.  Such a face has
 a tie in every polynomial, so it lies on a covering flat, and the route
 walks those flats keeping only these faces (``enumerate_faces(arr, keep)``).
 
+A pattern is a plain tuple: its (polynomial index, monomial index) pairs
+in sorted order, so tuple order, hashing and equality are the patterns'.
+Each polynomial's row of it is read in one pass where it is needed.
+
 Patterns are read from sign vectors, not by evaluating monomials: the
 monomials are sorted by (a, b), so for j1 < j2 of one polynomial,
 sign(m_j2 - m_j1) is the sign of the pair's tie hyperplane, and it is
@@ -28,7 +32,6 @@ from that face poset, with no H-polyhedron and no feasibility question.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import arrangement, linalg
@@ -38,21 +41,12 @@ from .linalg import InvariantError
 from .tropical import TropSystem, eval_poly
 
 
-@dataclass(frozen=True)
-class TiePattern:
-    """Sorted (polynomial index, monomial index) pairs of tied minima."""
-
-    pairs: tuple[tuple[int, int], ...]
-
-    def row(self, i: int) -> frozenset[int]:
-        return frozenset(j for ii, j in self.pairs if ii == i)
-
-    def is_zero_pattern(self, k: int) -> bool:
-        """At least two tied monomials in every row."""
-        counts = [0] * k
-        for i, _ in self.pairs:
-            counts[i] += 1
-        return all(c >= 2 for c in counts)
+def _rows(pattern, k: int) -> list[list[int]]:
+    """Each polynomial's monomial indices in a pattern, in increasing order."""
+    rows: list[list[int]] = [[] for _ in range(k)]
+    for i, j in pattern:
+        rows[i].append(j)
+    return rows
 
 
 def _pattern_reader(s: TropSystem, arr: Arrangement):
@@ -71,7 +65,7 @@ def _pattern_reader(s: TropSystem, arr: Arrangement):
         for i, j1, j2 in hp.sources:
             tables[i][j1][j2] = h
 
-    def read(signs) -> TiePattern | None:
+    def read(signs) -> tuple[tuple[int, int], ...] | None:
         pairs = []
         for i, hs in enumerate(tables):
             best = [0]
@@ -85,7 +79,7 @@ def _pattern_reader(s: TropSystem, arr: Arrangement):
             if len(best) < 2:
                 return None
             pairs.extend((i, j) for j in best)
-        return TiePattern(tuple(pairs))
+        return tuple(pairs)
 
     return read
 
@@ -93,13 +87,13 @@ def _pattern_reader(s: TropSystem, arr: Arrangement):
 class PrevarietyCell:
     """One relatively open cell U_B: its pattern, dimension and a point."""
 
-    def __init__(self, pattern: TiePattern, dim: int, witness):
+    def __init__(self, pattern, dim: int, witness):
         self.pattern = pattern
         self.dim = dim
         self.witness = witness
 
     def __repr__(self):
-        return f"PrevarietyCell(dim={self.dim}, pattern={self.pattern.pairs})"
+        return f"PrevarietyCell(dim={self.dim}, pattern={self.pattern})"
 
     def __eq__(self, other):
         return isinstance(other, PrevarietyCell) and self.pattern == other.pattern
@@ -123,8 +117,8 @@ class PrevarietyComplex:
 
     def __init__(self, system: TropSystem, cells):
         self.system = system
-        self.cells = tuple(sorted(cells, key=lambda c: c.pattern.pairs))
-        patterns = [set(c.pattern.pairs) for c in self.cells]
+        self.cells = tuple(sorted(cells, key=lambda c: c.pattern))
+        patterns = [set(c.pattern) for c in self.cells]
         self.faces = tuple(
             [a] + [b for b, pb in enumerate(patterns) if pa < pb] for a, pa in enumerate(patterns)
         )
@@ -138,7 +132,7 @@ class PrevarietyComplex:
             if cell.dim == d + 1:
                 ends = sum(self.cells[j].dim == d for j in self.faces[i])
                 if ends not in (1, 2):
-                    raise InvariantError("PrevarietyComplex", f"edge {cell.pattern.pairs} has {ends} vertices")
+                    raise InvariantError("PrevarietyComplex", f"edge {cell.pattern} has {ends} vertices")
                 if ends == 1:
                     rays.add(i)
         self.retract = tuple(rays.isdisjoint(faces) for faces in self.faces)
@@ -150,17 +144,17 @@ class PrevarietyComplex:
         """Canonical H-representation of the closure of cell i, with no
         feasibility question.
 
-        With j0 = min B.row(p) for each polynomial p, the closure is the set
-        where m_j = m_j0 for j in B.row(p) and m_q >= m_j0 otherwise.  At the
-        witness every m_q is strictly above m_j0, so the ties alone cut out
-        the affine hull.  The facets are the faces of dimension dim - 1, and
-        a facet has one irredundant inequality modulo the hull (Ziegler,
-        *Lectures on Polytopes*): m_q >= m_j0 for any pair (p, q) of the
-        facet's pattern outside B, which is tight on the facet.
+        With j0 the least monomial of B in each polynomial p, the closure is
+        the set where m_j = m_j0 for (p, j) in B and m_q >= m_j0 otherwise.
+        At the witness every m_q is strictly above m_j0, so the ties alone
+        cut out the affine hull.  The facets are the faces of dimension
+        dim - 1, and a facet has one irredundant inequality modulo the hull
+        (Ziegler, *Lectures on Polytopes*): m_q >= m_j0 for any pair (p, q)
+        of the facet's pattern outside B, which is tight on the facet.
         """
         cell = self.cells[i]
-        ties = set(cell.pattern.pairs)
-        first = {p: min(cell.pattern.row(p)) for p in range(self.system.k)}
+        ties = set(cell.pattern)
+        first = [row[0] for row in _rows(cell.pattern, self.system.k)]
 
         def row(p, q):
             # m_q >= m_j0 reads <a_q - a_j0, x> >= b_j0 - b_q
@@ -168,12 +162,12 @@ class PrevarietyComplex:
             m0, mq = mons[first[p]], mons[q]
             return linalg.vsub(mq.a, m0.a), m0.b - mq.b
 
-        eqs = [row(p, q) for p, q in cell.pattern.pairs if q != first[p]]
+        eqs = [row(p, q) for p, q in cell.pattern if q != first[p]]
         ineqs = []
         for j in self.faces[i]:
             face = self.cells[j]
             if face.dim == cell.dim - 1:
-                ineqs.append(row(*next(pq for pq in face.pattern.pairs if pq not in ties)))
+                ineqs.append(row(*next(pq for pq in face.pattern if pq not in ties)))
         return canonical_form(self.system.n, eqs, ineqs)
 
     def _label_components(self) -> tuple[int, ...]:
@@ -202,7 +196,7 @@ def cells_via_arrangement(s: TropSystem) -> PrevarietyComplex:
     """Prevariety cells as merged tie-pattern classes of arrangement faces."""
     arr = s.arrangement
     read = _pattern_reader(s, arr)
-    patterns: dict[tuple[int, ...], TiePattern] = {}  # each kept face's, by sign vector
+    patterns: dict[tuple[int, ...], tuple] = {}  # each kept face's, by sign vector
 
     def zero(signs) -> bool:
         # a tie in every polynomial: on a covering flat, and closed under
@@ -212,7 +206,7 @@ def cells_via_arrangement(s: TropSystem) -> PrevarietyComplex:
             patterns[signs] = b
         return b is not None
 
-    top: dict[TiePattern, ArrFace] = {}  # each pattern's first face of top dimension
+    top: dict[tuple, ArrFace] = {}  # each pattern's first face of top dimension
     for face in arrangement.enumerate_faces(arr, zero):
         b = patterns[face.signs]
         if b not in top or face.dim > top[b].dim:
@@ -227,7 +221,7 @@ class DualFace:
     the argmin pattern of (x, 1) at the face's witness slope x.
     """
 
-    def __init__(self, system: TropSystem, pattern: TiePattern, witness):
+    def __init__(self, system: TropSystem, pattern, witness):
         self.system = system
         self.pattern = pattern
         self.witness = witness
@@ -235,18 +229,12 @@ class DualFace:
     def __repr__(self):
         return f"DualFace(dim={self.dim}, tropical={self.tropical})"
 
-    def __eq__(self, other):
-        return isinstance(other, DualFace) and self.pattern == other.pattern
-
-    def __hash__(self):
-        return hash(self.pattern)
-
     @cached_property
     def parts(self) -> tuple:
         """The lifted points (a_j, b_j) of each summand F_i, built on demand."""
         return tuple(
-            tuple((*f.monomials[j].a, f.monomials[j].b) for j in sorted(self.pattern.row(i)))
-            for i, f in enumerate(self.system.polys)
+            tuple((*f.monomials[j].a, f.monomials[j].b) for j in row)
+            for f, row in zip(self.system.polys, _rows(self.pattern, self.system.k))
         )
 
     @cached_property
@@ -259,18 +247,19 @@ class DualFace:
 
     @property
     def tropical(self) -> bool:
-        return self.pattern.is_zero_pattern(self.system.k)
+        """At least two tied monomials in every polynomial."""
+        return all(len(row) >= 2 for row in _rows(self.pattern, self.system.k))
 
 
 def dual_subdivision(s: TropSystem) -> list[DualFace]:
     """All lower faces of Q_1 + ... + Q_k, from the system's lifted hull."""
-    seen: dict[TiePattern, DualFace] = {}
+    seen: dict[tuple, DualFace] = {}
     for x, argmins in lower_faces(s.lifted_hull):
-        b = TiePattern(tuple((i, j) for i, row in enumerate(argmins) for j in sorted(row)))
+        b = tuple((i, j) for i, row in enumerate(argmins) for j in sorted(row))
         if b in seen:
-            raise InvariantError("dual_subdivision", f"two lower faces with pattern {b.pairs}")
+            raise InvariantError("dual_subdivision", f"two lower faces with pattern {b}")
         seen[b] = DualFace(s, b, x)
-    return sorted(seen.values(), key=lambda f: f.pattern.pairs)
+    return sorted(seen.values(), key=lambda f: f.pattern)
 
 
 def tropical_faces(subdivision: list[DualFace]) -> list[DualFace]:
@@ -286,9 +275,8 @@ def dual_cell(s: TropSystem, f: DualFace) -> PrevarietyCell:
     """
     if not f.tropical:
         raise ValueError("dual_cell requires a tropical face")
-    at_witness = [eval_poly(g, f.witness)[1] for g in s.polys]
-    if any(argmin != f.pattern.row(i) for i, argmin in enumerate(at_witness)):
-        raise InvariantError("dual_cell", f"witness {f.witness} does not have pattern {f.pattern.pairs}")
+    if any(eval_poly(g, f.witness)[1] != frozenset(row) for g, row in zip(s.polys, _rows(f.pattern, s.k))):
+        raise InvariantError("dual_cell", f"witness {f.witness} does not have pattern {f.pattern}")
     return PrevarietyCell(f.pattern, s.n - f.dim, f.witness)
 
 

@@ -38,8 +38,9 @@ def _affine_poly(n: int, row) -> TropPoly:
     return make_coeffs_nonneg(TropPoly([LinForm.make(a, -Fraction(b)), LinForm.make([0] * n, 0)]))
 
 
-def halfspace_prevariety(n: int, equations, inequality=None) -> TropSystem:
-    """System with zero set {a.x = b for equations, a.x >= b for inequality}.
+def halfspace_prevariety(n: int, equations, *inequalities) -> TropSystem:
+    """System with zero set {a.x = b for equations, a.x >= b for each
+    inequality}.
 
     Rows follow the H-polyhedron convention (a, b) for a.x {=,>=} b, so the
     paper's forms are M_i = a_i.x - b_i and L = a.x - b.
@@ -48,9 +49,8 @@ def halfspace_prevariety(n: int, equations, inequality=None) -> TropSystem:
     if not equations:
         raise ValueError("a positive-codimension subspace needs an equation")
     polys = [_affine_poly(n, row) for row in equations]
-    if inequality is not None:
-        a1, b1 = equations[0]
-        ai, bi = inequality
+    a1, b1 = equations[0]
+    for ai, bi in inequalities:
         mons = [
             LinForm.make([0] * n, 0),
             LinForm.make(a1, -b1),
@@ -65,13 +65,7 @@ def polyhedron_prevariety(p: HPolyhedron) -> TropSystem:
     equations = p.affine_hull_rows()
     if not equations:
         raise ValueError("polyhedron is full-dimensional; not realizable")
-    polys: list[TropPoly] = []
-    if p.ineq:
-        for row in p.ineq:
-            polys.extend(halfspace_prevariety(p.n, equations, row).polys)
-    else:
-        polys.extend(halfspace_prevariety(p.n, equations).polys)
-    return TropSystem(p.n, dict.fromkeys(polys))
+    return TropSystem(p.n, dict.fromkeys(halfspace_prevariety(p.n, equations, *p.ineq).polys))
 
 
 def union_prevarieties(a: TropSystem, b: TropSystem) -> TropSystem:

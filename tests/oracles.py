@@ -75,6 +75,10 @@ Each oracle deliberately avoids the code path it is used to check:
   intersection is decided by Farkas multipliers in the simplex
   (``simplex.farkas_infeasible``).  It uses neither the arrangement, the
   face poset, the retract, ``triangulate`` nor ``linalg.rank``.
+- ``zaslavsky_face_counts`` counts an arrangement's faces per dimension from
+  its intersection poset alone (Zaslavsky's theorem), with flats it builds
+  itself in ``Fraction`` reduced row echelon form; the walk under test
+  steps between faces on integer rows and counts nothing.
 - ``sign_vector`` evaluates every rational hyperplane at a point
   (``hyperplane_value``), and ``face_at`` picks the enumerated face with
   that sign vector; the enumeration under test reads integer rows scaled
@@ -94,7 +98,7 @@ from tropbetti import exactgeom, linalg
 from tropbetti.arrangement import enumerate_faces
 from tropbetti.cli import sign_vectors_bruteforce  # the one copy; re-exported here
 from tropbetti.exactgeom import DimensionMismatch, HPolyhedron, RadVal, VPolytope, newton_volume
-from tropbetti.prevariety import DualFace, TiePattern, dual_subdivision, tropical_faces
+from tropbetti.prevariety import DualFace, dual_subdivision, tropical_faces
 from tropbetti.topology import BettiVector, SimplicialComplex, betti
 from tropbetti.tropical import LinForm, TropPoly, eval_poly
 
@@ -170,7 +174,7 @@ def cell_nerve_betti(s) -> BettiVector:
     dim V <= n - 1, so the nerve's n-skeleton, its simplices on at most
     n + 1 cells, has the homology that counts; its b_n is not read.
     """
-    patterns = [set(f.pattern.pairs) for f in tropical_faces(dual_subdivision(s))]
+    patterns = [set(f.pattern) for f in tropical_faces(dual_subdivision(s))]
     maximal = [b for b in patterns if not any(other < b for other in patterns)]
     simplices = {frozenset([i]) for i in range(len(maximal))}
     layer = sorted(simplices, key=sorted)
@@ -180,7 +184,7 @@ def cell_nerve_betti(s) -> BettiVector:
         for sub in sorted(grown, key=sorted):
             if any(sub - {i} not in simplices for i in sub):
                 continue
-            common = pattern_closure(s, TiePattern(tuple(sorted(set().union(*(maximal[i] for i in sub))))))
+            common = pattern_closure(s, tuple(sorted(set().union(*(maximal[i] for i in sub)))))
             if not farkas_infeasible(s.n, common.eq, common.ineq):
                 simplices.add(sub)
                 layer.append(sub)
@@ -344,13 +348,13 @@ def univariate_zeros(f: TropPoly) -> list[Fraction]:
     return sorted(x for x in candidates if is_zero(f, (x,)))
 
 
-def make_pattern(pairs) -> TiePattern:
+def make_pattern(pairs) -> tuple[tuple[int, int], ...]:
     """The pattern of (polynomial index, monomial index) pairs, in any order
     and with repeats."""
-    return TiePattern(tuple(sorted(set((int(i), int(j)) for i, j in pairs))))
+    return tuple(sorted(set((int(i), int(j)) for i, j in pairs)))
 
 
-def pattern_at(s, x) -> TiePattern:
+def pattern_at(s, x) -> tuple[tuple[int, int], ...]:
     """Argmin pattern of a system at x, every monomial evaluated exactly."""
     pairs = []
     for i, f in enumerate(s.polys):
@@ -386,12 +390,12 @@ def dual_patterns_by_faces(s) -> list[DualFace]:
     Every x lies on one face, which has one pattern throughout, so the
     faces realize exactly the lower faces of the lifted Newton sum.
     """
-    seen: dict[TiePattern, DualFace] = {}
+    seen: dict[tuple, DualFace] = {}
     for face in enumerate_faces(s.arrangement):
         b = pattern_at(s, face.witness)
         if b not in seen:
             seen[b] = DualFace(s, b, face.witness)
-    return sorted(seen.values(), key=lambda f: f.pattern.pairs)
+    return sorted(seen.values(), key=lambda f: f.pattern)
 
 
 def is_bounded_lp(p) -> bool:
@@ -415,7 +419,7 @@ def vscale(c, a) -> tuple[Fraction, ...]:
     return tuple(c * x for x in a)
 
 
-def pattern_closure(s, b: TiePattern) -> HPolyhedron:
+def pattern_closure(s, b) -> HPolyhedron:
     """{x : ties of B hold with equality and weakly below all other monomials}.
 
     Every tie and every other monomial gives a row; its canonical form needs
@@ -425,7 +429,7 @@ def pattern_closure(s, b: TiePattern) -> HPolyhedron:
     """
     eqs, ineqs = [], []
     for i, f in enumerate(s.polys):
-        row = sorted(b.row(i))
+        row = [j for p, j in b if p == i]
         if not row:
             continue
         m0 = f.monomials[row[0]]
@@ -480,3 +484,66 @@ def face_at(arr, x):
     sv = sign_vector(arr, x)
     [face] = [f for f in enumerate_faces(arr) if f.signs == sv]
     return face
+
+
+def _fraction_rref(rows):
+    """(rows, pivots) of the reduced row echelon form of ``Fraction`` rows
+    (a | b) of a.x = b, pivots increasing; None if a row reduces to 0 = 1."""
+    red: list[list[Fraction]] = []
+    pivots: list[int] = []
+    for v in rows:
+        v = _reduce(v, red, pivots)
+        p = next((c for c, x in enumerate(v) if x), None)
+        if p is None:
+            continue
+        if p == len(v) - 1:
+            return None
+        v = [x / v[p] for x in v]
+        red = [[x - r[p] * y for x, y in zip(r, v)] for r in red]
+        red.append(v)
+        pivots.append(p)
+    order = sorted(range(len(red)), key=pivots.__getitem__)
+    return tuple(tuple(red[i]) for i in order), tuple(pivots[i] for i in order)
+
+
+def _reduce(v, red, pivots) -> list[Fraction]:
+    v = list(v)
+    for r, p in zip(red, pivots):
+        if v[p]:
+            v = [x - v[p] * y for x, y in zip(v, r)]
+    return v
+
+
+def zaslavsky_face_counts(arr) -> dict[int, int]:
+    """{k: number of k-faces} of an affine arrangement, from its flats alone.
+
+    A flat is a distinct nonempty intersection of hyperplanes, found as its
+    own reduced row echelon form and known by the set of hyperplanes that
+    contain it, so that Y is in X exactly when X's set is in Y's.  By
+    Zaslavsky ("Facing up to arrangements", Mem. AMS 1975) the k-faces
+    number the sum, over the flats X of dimension k, of the regions of the
+    arrangement restricted to X: the sum over the flats Y in X of
+    |mu(X, Y)|, mu the Moebius function of the flats ordered by reverse
+    inclusion.
+    """
+    hps = [tuple(Fraction(c) for c in h.normal) + (Fraction(h.offset),) for h in arr.hyperplanes]
+    flats = {((), ()): frozenset()}  # echelon form -> the hyperplanes containing the flat
+    frontier = [((), ())]
+    while frontier:
+        new = []
+        for rows, pivots in frontier:
+            for h in hps:
+                form = _fraction_rref(list(rows) + [h])
+                if form is None or form in flats:
+                    continue
+                flats[form] = frozenset(i for i, g in enumerate(hps) if not any(_reduce(g, *form)))
+                new.append(form)
+        frontier = new
+    counts: dict[int, int] = {}
+    for (rows, _), x in flats.items():
+        mu: dict[frozenset, int] = {}
+        for y in sorted((y for y in flats.values() if x <= y), key=len):
+            mu[y] = 1 if y == x else -sum(m for z, m in mu.items() if z < y)
+        dim = arr.n - len(rows)
+        counts[dim] = counts.get(dim, 0) + sum(abs(m) for m in mu.values())
+    return counts

@@ -2,6 +2,7 @@ import ast
 import hashlib
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import face_digests
+from hidim_digests import hidim_systems
 import tropbetti
 from tropbetti import linalg
 from tropbetti.arrangement import (
@@ -23,7 +25,7 @@ from tropbetti.prevariety import _pattern_reader
 from tropbetti.realize import ComplexDescription, complex_prevariety, gen_grid_example
 from tropbetti.tropical import LinForm, TropPoly, TropSystem
 
-from oracles import sign_vector, sign_vectors_bruteforce
+from oracles import sign_vector, sign_vectors_bruteforce, zaslavsky_face_counts
 from strategies import small_systems
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -126,12 +128,43 @@ def test_oracle_equivalence_seeded():
 
 def test_faces_match_bruteforce_for_ell_7_and_8():
     """The exhaustive judge past the ell <= 6 of ``check --oracle``: every
-    corpus arrangement with 7 or 8 hyperplanes, 3^ell sign vectors each."""
+    corpus arrangement with 7 or 8 hyperplanes, and the two pinned n = 4
+    systems with 7 and 8, 3^ell sign vectors each."""
     corpus = system_corpus(face_digests.CORPUS_SEED, face_digests.CORPUS_COUNT)
     arrangements = [s.arrangement for s in corpus if s.arrangement.ell in (7, 8)]
     assert len(arrangements) == 19
+    arrangements += [s.arrangement for s in hidim_systems() if s.arrangement.ell in (7, 8)]
+    assert len(arrangements) == 21
     for arr in arrangements:
         assert {f.signs for f in enumerate_faces(arr)} == sign_vectors_bruteforce(arr).keys()
+
+
+def assert_zaslavsky_counts(arr):
+    assert zaslavsky_face_counts(arr) == dict(Counter(f.dim for f in enumerate_faces(arr)))
+
+
+def test_zaslavsky_face_counts_examples():
+    assert zaslavsky_face_counts(build_arrangement(TropSystem(2, [poly(((0, 0), 0))]))) == {2: 1}
+    assert zaslavsky_face_counts(build_arrangement(LINE)) == {0: 1, 1: 6, 2: 6}
+    two_lines = TropSystem(2, [poly(((0, 0), 0), ((1, 0), 0)), poly(((0, 0), 0), ((0, 1), 0))])
+    assert zaslavsky_face_counts(build_arrangement(two_lines)) == {0: 1, 1: 4, 2: 4}
+
+
+def test_zaslavsky_face_counts_match_the_walk():
+    """Faces per dimension from the intersection poset alone, on every
+    corpus arrangement (the 19 with 9 to 15 hyperplanes included) and the
+    pinned n = 4 systems with at most 10."""
+    corpus = system_corpus(face_digests.CORPUS_SEED, face_digests.CORPUS_COUNT)
+    hidim = [s for s in hidim_systems() if s.arrangement.ell <= 10]
+    assert len(hidim) == 8
+    for s in corpus + hidim:
+        assert_zaslavsky_counts(s.arrangement)
+
+
+@given(small_systems())
+@settings(deadline=None, max_examples=80)
+def test_zaslavsky_face_counts_match_the_walk_random(s):
+    assert_zaslavsky_counts(s.arrangement)
 
 
 def test_face_count_bound():
@@ -456,13 +489,15 @@ def test_face_lists_match_pinned_digests():
 def test_arrangement_runs_without_rational_linear_algebra(monkeypatch):
     """Build, lattice and stepping run on linalg's integer kernel alone:
     none of its rational-input entry points (which scale rows to integers
-    first) and no per-hyperplane evaluation."""
+    first), no echelon basis of a facet's directions (a step direction is
+    read off one definer's normal) and no per-hyperplane evaluation.
+    ``eliminate`` stays allowed: ``reduce_into`` extends a flat's rows with it."""
     systems = [gen_grid_example(3, 3), realized_square()] + system_corpus(face_digests.CORPUS_SEED, 10)
 
     def refuse(*args, **kwargs):
         raise AssertionError("rational linear algebra in the arrangement layer")
 
-    for name in ("rank", "solve", "nullspace"):
+    for name in ("rank", "solve", "nullspace", "echelon"):
         monkeypatch.setattr(linalg, name, refuse)
     # the package no longer defines Hyperplane.value; it must not come back
     monkeypatch.setattr(Hyperplane, "value", refuse, raising=False)

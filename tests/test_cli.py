@@ -26,6 +26,7 @@ from tropbetti.topology import betti_of_complex
 from tropbetti.tropical import LinForm, TropPoly, TropSystem
 
 from cli_digests import CHECK_CORPUS, CORPUS_COUNT, CORPUS_SEED, DIGESTS, EMIT_OFF, REALIZED_CELLS
+import hidim_digests
 
 LINE_DOC = '{"n":2,"polys":[[[[1,0],"0"],[[0,1],"0"],[[0,0],"0"]]]}'
 # the boundary of the unit square, acceptance criterion 6's circle
@@ -623,4 +624,21 @@ def test_cells_on_realized_complexes_match_pinned_digests(tmp_path, capsys):
         assert main(["cells", str(path)]) == 0
         if hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() != pinned:
             changed.append(key)
+    assert changed == []
+
+
+def test_check_in_dimension_4_and_5_matches_pinned_digests(tmp_path, capsys):
+    """``check`` stdout on the pinned n = 4, 5 systems, each report with
+    both routes agreeing and every bound met."""
+    systems = hidim_digests.hidim_systems()
+    changed = []
+    for i, pinned in hidim_digests.CHECK.items():
+        path = tmp_path / f"{i}.json"
+        path.write_text(json.dumps(serialize_system(systems[i])))
+        assert main(["check", str(path)]) == 0
+        out = capsys.readouterr().out
+        report = json.loads(out)
+        assert (report["all_ok"], report["cross_method_ok"], report["duality_ok"]) == (True, True, True), i
+        if hashlib.sha256(out.encode()).hexdigest() != pinned:
+            changed.append(i)
     assert changed == []

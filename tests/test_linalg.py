@@ -26,7 +26,7 @@ int_matrices = st.integers(min_value=1, max_value=5).flatmap(
 
 def _sympy_rref(rows):
     red, pivots = sympy.Matrix(rows).rref()
-    return [[Fraction(str(x)) for x in red.row(i)] for i in range(len(pivots))], list(pivots)
+    return [[Fraction(str(x)) for x in red[i, :]] for i in range(len(pivots))], list(pivots)
 
 
 @given(matrices)

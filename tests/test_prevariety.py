@@ -9,7 +9,7 @@ from tropbetti.arrangement import enumerate_faces
 from tropbetti.corpus import random_system, system_corpus
 from tropbetti.exactgeom import EmptyPolyhedronError, HPolyhedron, VPolytope
 from tropbetti.prevariety import (
-    TiePattern,
+    DualFace,
     _pattern_reader,
     cells_via_arrangement,
     connected_components,
@@ -60,33 +60,38 @@ SQUARE = complex_prevariety(
 )
 
 
-def tie_pattern(s, face) -> TiePattern:
+def tie_pattern(s, face):
     """Argmin pattern on the face's relative interior, evaluated at its witness."""
     return pattern_at(s, face.witness)
 
 
-def cell_closure(s, b: TiePattern) -> set[TiePattern]:
+def cell_closure(s, b) -> set:
     """Patterns of the proper faces of U_B (they partition its boundary)."""
     realized = {tie_pattern(s, face) for face in enumerate_faces(s.arrangement)}
     if b not in realized:
         raise EmptyPolyhedronError("U_B is empty: pattern not realized")
-    return {b1 for b1 in realized if set(b.pairs) < set(b1.pairs)}
+    return {b1 for b1 in realized if set(b) < set(b1)}
 
 
 def test_tie_pattern_examples():
     arr = LINE.arrangement
     origin = face_at(arr, (0, 0))
-    assert tie_pattern(LINE, origin).pairs == ((0, 0), (0, 1), (0, 2))
+    assert tie_pattern(LINE, origin) == ((0, 0), (0, 1), (0, 2))
     ray = face_at(arr, (-1, -1))
-    assert tie_pattern(LINE, ray).pairs == ((0, 1), (0, 2))
+    assert tie_pattern(LINE, ray) == ((0, 1), (0, 2))
     sector = face_at(arr, (1, 1))
-    assert tie_pattern(LINE, sector).pairs == ((0, 0),)
+    assert tie_pattern(LINE, sector) == ((0, 0),)
 
 
 def test_tie_pattern_zero_predicate():
-    assert make_pattern([(0, 0), (0, 1)]).is_zero_pattern(1)
-    assert not make_pattern([(0, 0)]).is_zero_pattern(1)
-    assert not make_pattern([(0, 0), (0, 1)]).is_zero_pattern(2)
+    """A dual face is tropical when its pattern ties two monomials in every
+    polynomial."""
+    two = TropSystem(2, [LINE.polys[0], LINE.polys[0]])
+    assert DualFace(LINE, make_pattern([(0, 0), (0, 1)]), (0, 0)).tropical
+    assert not DualFace(LINE, make_pattern([(0, 0)]), (0, 0)).tropical
+    assert not DualFace(two, make_pattern([(0, 0), (0, 1)]), (0, 0)).tropical
+    assert not DualFace(two, make_pattern([(0, 0), (0, 1), (1, 2)]), (0, 0)).tropical
+    assert DualFace(two, make_pattern([(0, 0), (0, 1), (1, 0), (1, 2)]), (0, 0)).tropical
 
 
 def test_cells_tropical_line():
@@ -173,7 +178,7 @@ def test_dual_subdivision_two_polynomials():
 
 def test_dual_cell_examples():
     trop = tropical_faces(dual_subdivision(LINE))
-    by_pattern = {f.pattern.pairs: f for f in trop}
+    by_pattern = {f.pattern: f for f in trop}
     triangle = by_pattern[((0, 0), (0, 1), (0, 2))]
     assert triangle.dim == 2
     g = dual_cell(LINE, triangle)
@@ -346,7 +351,7 @@ def assert_sign_patterns_match_evaluation(s, faces):
     read = _pattern_reader(s, s.arrangement)
     for face in faces:
         b = pattern_at(s, face.witness)
-        assert read(face.signs) == (b if b.is_zero_pattern(s.k) else None)
+        assert read(face.signs) == (b if is_system_zero(s, face.witness) else None)
 
 
 def test_sign_patterns_on_corpus():
@@ -377,8 +382,8 @@ def test_pattern_reader_examples():
     # five of the six pairs tie; x and x + 1 never do
     assert degen.arrangement.ell == 5
     read = _pattern_reader(degen, degen.arrangement)
-    assert read(face_at(degen.arrangement, (0, -2)).signs).pairs == ((0, 0), (0, 1), (0, 2))
-    assert read(face_at(degen.arrangement, (-1, -3)).signs).pairs == ((0, 1), (0, 2))
+    assert read(face_at(degen.arrangement, (0, -2)).signs) == ((0, 0), (0, 1), (0, 2))
+    assert read(face_at(degen.arrangement, (-1, -3)).signs) == ((0, 1), (0, 2))
     assert read(face_at(degen.arrangement, (5, 5)).signs) is None
     assert read(face_at(degen.arrangement, (-1, 5)).signs) is None
     for s in (degen, laurent):
@@ -387,7 +392,7 @@ def test_pattern_reader_examples():
             argmins = [eval_poly(f, face.witness)[1] for f in s.polys]
             want = tuple((i, j) for i, row in enumerate(argmins) for j in sorted(row))
             zero = all(len(row) >= 2 for row in argmins)
-            assert read(face.signs) == (TiePattern(want) if zero else None)
+            assert read(face.signs) == (want if zero else None)
 
 
 def zero_faces_keys(s):

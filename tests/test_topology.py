@@ -157,7 +157,7 @@ def test_triangulate_single_point_and_grid():
 def _chains_by_patterns(comp, members):
     """Every nonempty chain of the members under proper pattern inclusion."""
     chains = set()
-    pattern = {v: set(comp.cells[v].pattern.pairs) for v in members}
+    pattern = {v: set(comp.cells[v].pattern) for v in members}
 
     def extend(chain, rest):
         if chain:
@@ -275,7 +275,7 @@ def test_cell_nerve_judges_the_betti_numbers():
     """The nerve of the closed maximal cells, from the dual route and the
     simplex, gives the Betti numbers of the walk, the poset and the
     triangulation on the corpus, the 3x3 grid, a quadric surface, the
-    square and member 34."""
+    square and members 34 and 39."""
     for s in system_corpus(CORPUS_SEED, CORPUS_COUNT):
         _assert_cell_nerve_agrees(s)
     _assert_cell_nerve_agrees(gen_grid_example(3, 3))
@@ -283,7 +283,9 @@ def test_cell_nerve_judges_the_betti_numbers():
     assert any(c.dim == 2 and keep for c, keep in zip(comp.cells, comp.retract))
     _assert_cell_nerve_agrees(QUADRIC)
     _assert_cell_nerve_agrees(complex_prevariety(SQUARE))
-    _assert_cell_nerve_agrees(complex_prevariety(complex_corpus(7, 40)[34]))
+    members = complex_corpus(7, 40)
+    for i in (34, 39):
+        _assert_cell_nerve_agrees(complex_prevariety(members[i]))
 
 
 @given(small_systems())
