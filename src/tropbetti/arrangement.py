@@ -67,7 +67,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -81,17 +81,10 @@ def _sign(v) -> int:
     return (v > 0) - (v < 0)
 
 
-@dataclass(frozen=True)
-class Hyperplane:
-    """normal.x = offset with coprime integer normal, first nonzero > 0.
-
-    ``sources`` lists the monomial pairs (poly index, j1, j2) whose tie
-    locus is this hyperplane.
-    """
-
-    normal: tuple[int, ...]
-    offset: Fraction
-    sources: tuple[tuple[int, int, int], ...]
+# normal.x = offset with coprime integer normal, first nonzero > 0, and a
+# Fraction offset; ``sources`` lists the monomial pairs (poly index, j1, j2)
+# whose tie locus is this hyperplane
+Hyperplane = namedtuple("Hyperplane", "normal offset sources")
 
 
 class ArrFace:

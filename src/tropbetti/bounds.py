@@ -12,9 +12,9 @@ systems fall back to the essential-dimension maximum and are flagged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .exactgeom import RadVal, newton_volume
+from .exactgeom import newton_volume
 from .prevariety import PrevarietyComplex, cells_via_arrangement
 from .topology import BettiVector, betti_of_complex
 from .tropical import LaurentError, TropSystem, degree
@@ -43,25 +43,21 @@ def sparse_bound(n: int, k: int, m: int) -> int:
     return max((c * 2**c * math.comb(ell, c) for c in range(ell + 1)), default=0)
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    n: int
-    k: int
-    m: int
-    d: int | None
-    r: int
-    phi: int
-    total_betti: int
-    vol_r: RadVal
-    dense_bound: RadVal
-    dense_degenerate: bool
-    degree_bound: int | None
-    sparse_bound: int
-    sparse_degenerate: bool
-    betti_le_phi: bool
-    phi_le_dense: bool | None
-    phi_le_sparse: bool
-    betti_le_degree: bool | None
+class BoundReport(
+    namedtuple(
+        "BoundReport",
+        "n k m d r phi total_betti vol_r dense_bound dense_degenerate degree_bound"
+        " sparse_bound sparse_degenerate betti_le_phi phi_le_dense phi_le_sparse betti_le_degree",
+    )
+):
+    """The bounds of one system against its cells and Betti numbers.
+
+    ``vol_r`` and ``dense_bound`` are ``RadVal``s; ``d``, ``degree_bound``
+    and ``betti_le_degree`` are None for a Laurent system, and
+    ``phi_le_dense`` is None when the dense bound is degenerate (r = 0).
+    """
+
+    __slots__ = ()
 
     @property
     def all_ok(self) -> bool:

@@ -7,13 +7,10 @@ Exit codes: 0 success, 1 invalid input, 2 internal invariant violation
 
 from __future__ import annotations
 
-import argparse
-import dataclasses
 import itertools
 import json
 import math
 import sys
-import traceback
 from fractions import Fraction
 from pathlib import Path
 
@@ -180,14 +177,13 @@ def _bound_report_json(r: BoundReport) -> dict:
     if r.dense_bound > sys.float_info.max:
         raise InputError("dense_bound_approx is beyond float range")
     out: dict = {}
-    for f in dataclasses.fields(r):
-        value = getattr(r, f.name)
+    for name, value in zip(r._fields, r):
         if isinstance(value, RadVal):
             sq = value.sq()
-            out[f"{f.name}_sq"] = [sq.numerator, sq.denominator]
-            out[f"{f.name}_approx"] = value.approx()
+            out[f"{name}_sq"] = [sq.numerator, sq.denominator]
+            out[f"{name}_approx"] = value.approx()
         else:
-            out[f.name] = value
+            out[name] = value
     out["all_ok"] = r.all_ok
     return out
 
@@ -417,7 +413,9 @@ def _dumps(report, mode: str) -> str:
         raise _digit_limit_error() from None
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    import argparse  # only the command line needs it, not the importers of cli
+
     parser = argparse.ArgumentParser(
         prog="tropbetti", description="Exact tropical prevariety toolkit"
     )
@@ -460,6 +458,8 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except Exception:
+        import traceback
+
         traceback.print_exc()
         return 2
     sys.stdout.write(text)

@@ -26,7 +26,6 @@ import math
 import random
 import sys
 from collections import Counter, namedtuple
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, total_ordering
 
@@ -72,9 +71,8 @@ def sqfree_decompose(g: int) -> tuple[int, int]:
 
 
 @total_ordering
-@dataclass(frozen=True)
 class RadVal:
-    """Exact nonnegative value q*sqrt(s), s a positive integer.
+    """Exact nonnegative value q*sqrt(s), q a Fraction, s a positive integer.
 
     ``from_sqrt`` leaves s squarefree up to trial division's bound, so two
     equal values may differ in (q, s); equality, order and hashing go by
@@ -82,14 +80,13 @@ class RadVal:
     raises ``ValueError``.
     """
 
-    q: Fraction
-    s: int = 1
+    __slots__ = ("q", "s")
 
-    def __post_init__(self):
-        if self.q < 0:
+    def __init__(self, q: Fraction, s: int = 1):
+        if q < 0:
             raise ValueError("coefficient must be nonnegative")
-        if self.q == 0:
-            object.__setattr__(self, "s", 1)
+        self.q = q
+        self.s = s if q else 1
 
     @classmethod
     def from_sqrt(cls, coeff, radicand) -> "RadVal":
@@ -149,14 +146,8 @@ def _canon_row(a, b, flip: bool):
     return w, Fraction(b) * w[q] / a[q]
 
 
-@dataclass(frozen=True)
-class CanonicalHRep:
-    """Hashable canonical identity of a polyhedron (or the empty marker)."""
-
-    n: int
-    empty: bool
-    eqs: tuple = ()
-    ineqs: tuple = ()
+# Hashable canonical identity of a polyhedron (or the empty marker)
+CanonicalHRep = namedtuple("CanonicalHRep", "n empty eqs ineqs", defaults=((), ()))
 
 
 def canonical_form(n: int, hull, ineqs) -> CanonicalHRep:
@@ -294,7 +285,7 @@ class HPolyhedron:
                 del kept[i]
             else:
                 i += 1
-        return replace(form, ineqs=tuple(kept))
+        return form._replace(ineqs=tuple(kept))
 
     def vertices(self):
         """Vertices of the polyhedron (brute force; small inputs only)."""

@@ -9,7 +9,7 @@ unions multiply them polynomial by polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import linalg
@@ -20,12 +20,11 @@ MAX_COMPLEX_MEMBERS = 6
 """Union systems grow as products of member system sizes; desk-scale cap."""
 
 
-@dataclass(frozen=True)
-class ComplexDescription:
-    """Finite list of positive-codimension rational polyhedra in R^n."""
+class ComplexDescription(namedtuple("ComplexDescription", "n polyhedra")):
+    """Finite list of positive-codimension rational polyhedra in R^n: a
+    tuple of ``HPolyhedron``s."""
 
-    n: int
-    polyhedra: tuple[HPolyhedron, ...]
+    __slots__ = ()
 
     @classmethod
     def make(cls, n: int, polyhedra) -> "ComplexDescription":

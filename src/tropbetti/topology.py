@@ -11,18 +11,32 @@ on the cells themselves, checks the chains and the ranks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import linalg
 from .linalg import InvariantError
 from .prevariety import PrevarietyComplex
 
 
-@dataclass(frozen=True)
 class BettiVector:
-    """b_0..b_dim with trailing zeros trimmed; empty space -> ()."""
+    """b_0..b_dim with trailing zeros trimmed; empty space -> ().
 
-    b: tuple[int, ...]
+    ``v[i]`` past the end is 0; a BettiVector equals only a BettiVector.
+    """
+
+    __slots__ = ("b",)
+
+    def __init__(self, b: tuple[int, ...]):
+        self.b = b
+
+    def __eq__(self, other):
+        return self.b == other.b if isinstance(other, BettiVector) else NotImplemented
+
+    def __hash__(self):
+        return hash((self.b,))
+
+    def __repr__(self):
+        return f"BettiVector(b={self.b!r})"
 
     @classmethod
     def make(cls, values) -> "BettiVector":
@@ -39,12 +53,11 @@ class BettiVector:
         return self.b[i] if i < len(self.b) else 0
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
-    """Abstract simplicial complex: downward-closed vertex subsets."""
+class SimplicialComplex(namedtuple("SimplicialComplex", "vertices simplices")):
+    """Abstract simplicial complex: a tuple of vertices and a frozenset of
+    downward-closed vertex frozensets."""
 
-    vertices: tuple[int, ...]
-    simplices: frozenset[frozenset[int]]
+    __slots__ = ()
 
     def by_dim(self) -> dict[int, list[tuple[int, ...]]]:
         out: dict[int, list[tuple[int, ...]]] = {}

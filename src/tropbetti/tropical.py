@@ -8,7 +8,7 @@ is attained at least twice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 
@@ -21,12 +21,11 @@ class LaurentError(ValueError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class LinForm:
-    """Affine form a.x + b (a tropical monomial)."""
+class LinForm(namedtuple("LinForm", "a b")):
+    """Affine form a.x + b (a tropical monomial): a a tuple of ints, b a
+    Fraction, ordered and hashed as the pair (a, b)."""
 
-    a: tuple[int, ...]
-    b: Fraction
+    __slots__ = ()
 
     @classmethod
     def make(cls, a, b) -> "LinForm":

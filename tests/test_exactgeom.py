@@ -3,7 +3,6 @@ import math
 import operator
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -61,6 +60,13 @@ def test_radval_equality_and_hash_go_by_the_square():
     assert RadVal(Fraction(1), 8) == RadVal(Fraction(2), 2)
     assert hash(RadVal(Fraction(1), 8)) == hash(RadVal(Fraction(2), 2))
     assert RadVal(Fraction(1), 8) != RadVal(Fraction(1), 2)
+    # (q, s) = (2, 1) and (1, 4) are one value: every order operator agrees,
+    # where comparing the pairs themselves would put (1, 4) first
+    two, also_two = RadVal(Fraction(2)), RadVal(Fraction(1), 4)
+    assert two == also_two and hash(two) == hash(also_two)
+    assert (two < also_two, two <= also_two, two > also_two, two >= also_two) == (False, True, False, True)
+    assert (also_two < two, also_two <= two, also_two > two, also_two >= two) == (False, True, False, True)
+    assert RadVal(Fraction(0), 5).s == 1 and repr(also_two) == "RadVal(1*sqrt(4))"
 
 
 def test_radval_basics():
@@ -457,7 +463,7 @@ def test_canonical_form_reduces_modulo_the_hull():
     assert form.eqs == (((1, -1), 0),)
     assert form.ineqs == (((0, 1), 0), ((0, 1), Fraction(1, 2)))
     p = HPolyhedron(2, [((2, -2), 0)], [((2, 0), 1), ((1, 1), 1), ((1, -1), -3), ((1, 1), 0)])
-    assert p.canonical() == replace(form, ineqs=(((0, 1), Fraction(1, 2)),))
+    assert p.canonical() == form._replace(ineqs=(((0, 1), Fraction(1, 2)),))
 
 
 def test_canonical_identifies_equal_polyhedra():

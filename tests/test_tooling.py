@@ -3,6 +3,9 @@
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from types import FunctionType, SimpleNamespace
@@ -112,3 +115,23 @@ def test_benchmark_harness_names_exist():
                 assert hasattr(module, alias.name), f"{node.module}.{alias.name} is missing"
                 imports += 1
     assert imports > 0
+
+
+def test_importing_the_cli_leaves_heavy_modules_unloaded():
+    """Cold start: ``import tropbetti.cli`` loads none of these modules
+    (the records are namedtuples and slotted classes, not dataclasses, and
+    only ``main`` imports argparse and traceback), and the command line
+    still builds its parser.  Deterministic: it lists modules, not times."""
+    heavy = ("dataclasses", "inspect", "argparse", "traceback")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    # modules the interpreter loaded before the import (site hooks) do not count
+    code = (
+        "import sys; before = set(sys.modules); import tropbetti.cli; "
+        f"print(sorted(set({heavy!r}) & (set(sys.modules) - before)))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+    gen = subprocess.run(
+        [sys.executable, "-m", "tropbetti.cli", "gen", "grid", "--n", "2", "--m", "2"], env=env, capture_output=True
+    )
+    assert gen.returncode == 0 and gen.stdout.startswith(b'{"n":2')

@@ -69,6 +69,14 @@ def test_betti_vector_basics():
     assert BettiVector.make([]).b == ()
 
 
+def test_betti_vector_equals_only_a_betti_vector():
+    v = BettiVector.make([1, 1, 0])
+    assert v == BettiVector((1, 1)) and hash(v) == hash(BettiVector((1, 1)))
+    assert v != (1, 1) and v != [1, 1] and v != BettiVector((1,))
+    assert repr(v) == "BettiVector(b=(1, 1))"
+    assert BettiVector.make([]) != () and BettiVector.make([])[0] == 0
+
+
 def test_from_maximal_downward_closed():
     sc = from_maximal([(0, 1, 2)])
     assert len(sc.simplices) == 7

@@ -73,6 +73,19 @@ def test_is_zero_examples():
     assert not is_zero(poly(((1,), 2)), (5,))
 
 
+def test_linform_orders_and_hashes_as_its_pair():
+    """So a polynomial's monomial order and its set iteration are those of
+    the (a, b) pairs."""
+    pairs = [((1, 0), Fraction(2)), ((0, 1), Fraction(5)), ((0, 1), Fraction(-1, 2)), ((0, 0), Fraction(3))]
+    forms = [LinForm.make(a, b) for a, b in pairs]
+    assert [hash(f) for f in forms] == [hash(p) for p in pairs]
+    assert [(f.a, f.b) for f in sorted(forms)] == sorted(pairs)
+    assert [(f.a, f.b) for f in set(forms)] == list(set(pairs))
+    assert [(m.a, m.b) for m in TropPoly(forms).monomials] == sorted(pairs)
+    assert LinForm.make((1, 0), 2) < LinForm.make((1, 0), 3) < LinForm.make((1, 1), -9)
+    assert repr(forms[0]) == "LinForm(a=(1, 0), b=Fraction(2, 1))"
+
+
 def test_duplicate_monomials_removed():
     f = TropPoly([LinForm.make((1,), 0), LinForm.make((1,), 0)])
     assert f.m == 1
